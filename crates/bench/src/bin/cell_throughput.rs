@@ -37,8 +37,9 @@
 //! smoke run also prints current-vs-committed throughput ratios when
 //! the committed baseline is readable.
 
-use fedval_bench::{scan_num, scan_str, JsonWriter};
+use fedval_bench::value_checksum;
 use fedval_data::Dataset;
+use fedval_jsonio::{scan_num, scan_str, JsonWriter};
 use fedval_linalg::{vector, Matrix};
 use fedval_models::{
     optim::SgdScratch, Activation, Cnn, CnnConfig, DeterminismTier, LogisticRegression, Mlp, Model,
@@ -73,12 +74,6 @@ fn synthetic(n: usize, dim: usize, classes: usize, seed: u64) -> Dataset {
     });
     let labels: Vec<usize> = (0..n).map(|r| (r * 7 + seed as usize) % classes).collect();
     Dataset::new(f, labels, classes).unwrap()
-}
-
-fn checksum(values: &[f64]) -> u64 {
-    values
-        .iter()
-        .fold(0u64, |acc, v| acc.rotate_left(7) ^ v.to_bits())
 }
 
 /// Composite model-level tolerance for the Fast tier vs. the bit-exact
@@ -178,7 +173,10 @@ fn push_train_case<M: Model + Clone>(
             DeterminismTier::Fast,
         ));
     }
-    let (ck_ref, ck_exact) = (checksum(reference.params()), checksum(exact.params()));
+    let (ck_ref, ck_exact) = (
+        value_checksum(reference.params()),
+        value_checksum(exact.params()),
+    );
     assert_eq!(
         ck_ref, ck_exact,
         "{case}: bit-exact batched training diverged from the per-sample reference"
@@ -209,7 +207,7 @@ fn push_train_case<M: Model + Clone>(
         samples: data.len(),
         passes,
         seconds: secs_fast,
-        checksum: checksum(fast.params()),
+        checksum: value_checksum(fast.params()),
     });
 }
 

@@ -27,7 +27,7 @@
 //! scenarios — the acceptance gate for the method the paper proposes.
 
 use comfedsv::experiments::Scenario;
-use fedval_bench::{scan_num, scan_str, JsonWriter};
+use fedval_jsonio::{scan_num, scan_str, JsonWriter};
 use fedval_metrics::{detection_auc, precision_at_k};
 use fedval_shapley::ValuationSession;
 use std::time::Instant;

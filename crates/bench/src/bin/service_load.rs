@@ -24,7 +24,7 @@
 //! below [`MIN_INTERACTIVE_SPEEDUP`] — the acceptance gate for this
 //! PR's scheduler.
 
-use fedval_bench::JsonWriter;
+use fedval_jsonio::JsonWriter;
 use fedval_runtime::{JobClass, Pool, PoolHandle, SchedPolicy};
 use fedval_service::job::{Job, JobManager, JobSpec, JobStatus};
 use std::sync::Arc;

@@ -2,8 +2,9 @@
 //!
 //! Every figure in the paper's evaluation has a binary here (`fig1` …
 //! `fig8`, `example1`) that prints the corresponding series as aligned
-//! text and CSV. Criterion benches (`valuation`, `completion`, `training`)
-//! measure the kernels that dominate each experiment.
+//! text and CSV. The bench bins below measure the layers that dominate
+//! each experiment, from GEMM kernels (`cell_throughput`) to the
+//! service under load (`service_load`).
 //!
 //! Set `FEDVAL_PROFILE=quick|default|paper` to trade fidelity for runtime;
 //! see [`mod@profile`].
@@ -185,13 +186,25 @@ pub mod fairness_trials;
 pub mod profile;
 pub mod report;
 
-/// Flat-JSON field extraction (re-exported from `fedval_jsonio`, which
-/// also serves the `fedval_service` wire format).
-pub use fedval_jsonio::scan as jsonscan;
-/// Layout-controlled JSON writing (re-exported from `fedval_jsonio`).
-pub use fedval_jsonio::write as jsonwrite;
-
 pub use fairness_trials::{run_fairness_trials, FairnessTrialResult};
-pub use fedval_jsonio::{scan_num, scan_str, JsonWriter};
 pub use profile::{profile, Profile};
 pub use report::{print_series, write_csv};
+
+use std::path::PathBuf;
+
+/// Bitwise checksum of a value vector (order-sensitive XOR-rotate):
+/// enough to assert two runs produced identical bytes, also across
+/// process boundaries.
+pub fn value_checksum(values: &[f64]) -> u64 {
+    values
+        .iter()
+        .fold(0u64, |acc, v| acc.rotate_left(7) ^ v.to_bits())
+}
+
+/// A fresh (removed if present, not yet created) scratch directory
+/// `fedval-{bin}-{tag}-{pid}` under the system temp dir.
+pub fn tmpdir(bin: &str, tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("fedval-{bin}-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}

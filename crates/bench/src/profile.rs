@@ -5,7 +5,7 @@
 //! numbers. The `FEDVAL_PROFILE` environment variable selects:
 //!
 //! * `quick` — smallest runs that still show every qualitative effect;
-//! * `default` — the middle ground used by `cargo bench` (default);
+//! * `default` — the middle ground (used when the variable is unset);
 //! * `paper` — the paper's settings wherever feasible.
 
 /// Scaling knobs shared by the figure harnesses.

@@ -88,19 +88,6 @@ impl MatrixCompleter for AlsConfig {
     }
 }
 
-/// Runs ALS on `problem`, returning the factors and the per-sweep objective
-/// trajectory (first entry = objective after initialization).
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `MatrixCompleter` impl: `config.complete(problem)`"
-)]
-pub fn solve_als(problem: &CompletionProblem, config: &AlsConfig) -> (Factors, Vec<f64>) {
-    match config.complete(problem) {
-        Ok(c) => (c.factors, c.objective_trace),
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// The ALS iteration itself; configuration validity is the caller's
 /// responsibility ([`MatrixCompleter::complete`] checks it).
 fn run_als(
@@ -244,7 +231,7 @@ mod tests {
     use super::*;
 
     /// Trait-API shorthand used throughout these tests.
-    fn solve_als(problem: &CompletionProblem, config: &AlsConfig) -> (Factors, Vec<f64>) {
+    fn solve(problem: &CompletionProblem, config: &AlsConfig) -> (Factors, Vec<f64>) {
         let c = config.complete(problem).unwrap();
         (c.factors, c.objective_trace)
     }
@@ -280,7 +267,7 @@ mod tests {
     #[test]
     fn objective_is_monotone_nonincreasing() {
         let (p, _) = masked_low_rank(12, 16, 3, 0.4, 1);
-        let (_, trace) = solve_als(&p, &AlsConfig::new(3).with_lambda(0.05));
+        let (_, trace) = solve(&p, &AlsConfig::new(3).with_lambda(0.05));
         for w in trace.windows(2) {
             assert!(
                 w[1] <= w[0] + 1e-9,
@@ -294,7 +281,7 @@ mod tests {
     #[test]
     fn recovers_low_rank_matrix_from_partial_observations() {
         let (p, full) = masked_low_rank(20, 24, 2, 0.5, 3);
-        let (factors, _) = solve_als(&p, &AlsConfig::new(2).with_lambda(1e-3).with_max_iters(200));
+        let (factors, _) = solve(&p, &AlsConfig::new(2).with_lambda(1e-3).with_max_iters(200));
         let rec = factors.complete();
         let rel = rec.sub(&full).unwrap().frobenius_norm() / full.frobenius_norm();
         assert!(rel < 0.05, "relative recovery error {rel}");
@@ -303,7 +290,7 @@ mod tests {
     #[test]
     fn observed_entries_fit_tightly() {
         let (p, _) = masked_low_rank(10, 12, 2, 0.6, 5);
-        let (factors, _) = solve_als(&p, &AlsConfig::new(3).with_lambda(1e-4));
+        let (factors, _) = solve(&p, &AlsConfig::new(3).with_lambda(1e-4));
         assert!(factors.observed_rmse(&p) < 1e-2);
     }
 
@@ -311,8 +298,8 @@ mod tests {
     fn deterministic_given_seed() {
         let (p, _) = masked_low_rank(8, 10, 2, 0.5, 7);
         let cfg = AlsConfig::new(2).with_seed(11);
-        let (f1, _) = solve_als(&p, &cfg);
-        let (f2, _) = solve_als(&p, &cfg);
+        let (f1, _) = solve(&p, &cfg);
+        let (f2, _) = solve(&p, &cfg);
         assert_eq!(f1.w.as_slice(), f2.w.as_slice());
         assert_eq!(f1.h.as_slice(), f2.h.as_slice());
     }
@@ -323,7 +310,7 @@ mod tests {
         p.add_observation(0, 1, 1.0);
         p.add_observation(1, 1, 1.0);
         let ghost = p.ensure_column(99);
-        let (factors, _) = solve_als(&p, &AlsConfig::new(2));
+        let (factors, _) = solve(&p, &AlsConfig::new(2));
         for v in factors.h.row(ghost) {
             assert_eq!(*v, 0.0);
         }
@@ -332,8 +319,8 @@ mod tests {
     #[test]
     fn higher_lambda_shrinks_factors() {
         let (p, _) = masked_low_rank(10, 10, 2, 0.7, 9);
-        let (f_small, _) = solve_als(&p, &AlsConfig::new(2).with_lambda(1e-3));
-        let (f_big, _) = solve_als(&p, &AlsConfig::new(2).with_lambda(10.0));
+        let (f_small, _) = solve(&p, &AlsConfig::new(2).with_lambda(1e-3));
+        let (f_big, _) = solve(&p, &AlsConfig::new(2).with_lambda(10.0));
         let norm = |f: &Factors| f.w.frobenius_norm() + f.h.frobenius_norm();
         assert!(norm(&f_big) < norm(&f_small));
     }
@@ -352,7 +339,7 @@ mod tests {
                 }
             }
         }
-        let (factors, _) = solve_als(&p, &AlsConfig::new(1).with_lambda(1e-5).with_max_iters(100));
+        let (factors, _) = solve(&p, &AlsConfig::new(1).with_lambda(1e-5).with_max_iters(100));
         assert!(factors.observed_rmse(&p) < 1e-3);
     }
 

@@ -90,19 +90,6 @@ impl MatrixCompleter for CcdConfig {
     }
 }
 
-/// Runs CCD++ on `problem`, returning factors and the per-sweep objective
-/// trajectory (first entry = objective after initialization).
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `MatrixCompleter` impl: `config.complete(problem)`"
-)]
-pub fn solve_ccd(problem: &CompletionProblem, config: &CcdConfig) -> (Factors, Vec<f64>) {
-    match config.complete(problem) {
-        Ok(c) => (c.factors, c.objective_trace),
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// The CCD++ iteration itself; configuration validity is the caller's
 /// responsibility ([`MatrixCompleter::complete`] checks it).
 fn run_ccd(
@@ -251,7 +238,7 @@ mod tests {
     use super::*;
 
     /// Trait-API shorthand used throughout these tests.
-    fn solve_ccd(problem: &CompletionProblem, config: &CcdConfig) -> (Factors, Vec<f64>) {
+    fn solve(problem: &CompletionProblem, config: &CcdConfig) -> (Factors, Vec<f64>) {
         let c = config.complete(problem).unwrap();
         (c.factors, c.objective_trace)
     }
@@ -284,7 +271,7 @@ mod tests {
     #[test]
     fn objective_is_monotone_nonincreasing() {
         let (p, _) = masked_low_rank(12, 16, 3, 0.4, 1);
-        let (_, trace) = solve_ccd(&p, &CcdConfig::new(3).with_lambda(0.05));
+        let (_, trace) = solve(&p, &CcdConfig::new(3).with_lambda(0.05));
         for w in trace.windows(2) {
             assert!(
                 w[1] <= w[0] + 1e-9,
@@ -298,7 +285,7 @@ mod tests {
     #[test]
     fn recovers_low_rank_matrix() {
         let (p, full) = masked_low_rank(20, 24, 2, 0.5, 3);
-        let (factors, _) = solve_ccd(&p, &CcdConfig::new(2).with_lambda(1e-3).with_max_iters(200));
+        let (factors, _) = solve(&p, &CcdConfig::new(2).with_lambda(1e-3).with_max_iters(200));
         let rec = factors.complete();
         let rel = rec.sub(&full).unwrap().frobenius_norm() / full.frobenius_norm();
         assert!(rel < 0.05, "relative recovery error {rel}");
@@ -309,7 +296,7 @@ mod tests {
         // Both solvers minimize the same objective; on a well-posed problem
         // the recovered matrices must agree closely.
         let (p, _) = masked_low_rank(14, 16, 2, 0.6, 4);
-        let (f_ccd, _) = solve_ccd(&p, &CcdConfig::new(2).with_lambda(1e-3).with_max_iters(300));
+        let (f_ccd, _) = solve(&p, &CcdConfig::new(2).with_lambda(1e-3).with_max_iters(300));
         let f_als = crate::als::AlsConfig::new(2)
             .with_lambda(1e-3)
             .with_max_iters(300)
@@ -325,7 +312,7 @@ mod tests {
     #[test]
     fn residual_bookkeeping_matches_direct_objective() {
         let (p, _) = masked_low_rank(8, 10, 2, 0.5, 7);
-        let (factors, trace) = solve_ccd(&p, &CcdConfig::new(2).with_lambda(0.05));
+        let (factors, trace) = solve(&p, &CcdConfig::new(2).with_lambda(0.05));
         let direct = factors.objective(&p, 0.05);
         let tracked = *trace.last().unwrap();
         assert!(
@@ -338,8 +325,8 @@ mod tests {
     fn deterministic_given_seed() {
         let (p, _) = masked_low_rank(6, 8, 2, 0.5, 9);
         let cfg = CcdConfig::new(2);
-        let (f1, _) = solve_ccd(&p, &cfg);
-        let (f2, _) = solve_ccd(&p, &cfg);
+        let (f1, _) = solve(&p, &cfg);
+        let (f2, _) = solve(&p, &cfg);
         assert_eq!(f1.w.as_slice(), f2.w.as_slice());
         assert_eq!(f1.h.as_slice(), f2.h.as_slice());
     }
@@ -350,7 +337,7 @@ mod tests {
         p.add_observation(0, 1, 2.0);
         p.add_observation(2, 1, 2.0);
         let ghost = p.ensure_column(50);
-        let (factors, _) = solve_ccd(&p, &CcdConfig::new(2));
+        let (factors, _) = solve(&p, &CcdConfig::new(2));
         assert!(factors.h.row(ghost).iter().all(|&v| v == 0.0));
     }
 

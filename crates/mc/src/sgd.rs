@@ -123,18 +123,6 @@ impl MatrixCompleter for SgdConfig {
     }
 }
 
-/// Runs SGD, returning factors and the objective after each epoch.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `MatrixCompleter` impl: `config.complete(problem)`"
-)]
-pub fn solve_sgd(problem: &CompletionProblem, config: &SgdConfig) -> (Factors, Vec<f64>) {
-    match config.complete(problem) {
-        Ok(c) => (c.factors, c.objective_trace),
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// The SGD epochs themselves; configuration validity is the caller's
 /// responsibility ([`MatrixCompleter::complete`] checks it).
 fn run_sgd(
@@ -218,7 +206,7 @@ mod tests {
     use super::*;
 
     /// Trait-API shorthand used throughout these tests.
-    fn solve_sgd(problem: &CompletionProblem, config: &SgdConfig) -> (Factors, Vec<f64>) {
+    fn solve(problem: &CompletionProblem, config: &SgdConfig) -> (Factors, Vec<f64>) {
         let c = config.complete(problem).unwrap();
         (c.factors, c.objective_trace)
     }
@@ -251,14 +239,14 @@ mod tests {
     #[test]
     fn objective_trends_downward() {
         let (p, _) = masked_low_rank(10, 12, 2, 0.5, 1);
-        let (_, trace) = solve_sgd(&p, &SgdConfig::new(2).with_epochs(50));
+        let (_, trace) = solve(&p, &SgdConfig::new(2).with_epochs(50));
         assert!(trace.last().unwrap() < &(trace[0] * 0.5), "{trace:?}");
     }
 
     #[test]
     fn fits_observed_entries() {
         let (p, _) = masked_low_rank(12, 14, 2, 0.6, 2);
-        let (factors, _) = solve_sgd(&p, &SgdConfig::new(3).with_lambda(1e-3).with_epochs(300));
+        let (factors, _) = solve(&p, &SgdConfig::new(3).with_lambda(1e-3).with_epochs(300));
         assert!(
             factors.observed_rmse(&p) < 0.05,
             "rmse {}",
@@ -269,7 +257,7 @@ mod tests {
     #[test]
     fn agrees_with_als_on_recovered_entries() {
         let (p, full) = masked_low_rank(14, 16, 2, 0.6, 4);
-        let (f_sgd, _) = solve_sgd(&p, &SgdConfig::new(2).with_lambda(1e-3).with_epochs(400));
+        let (f_sgd, _) = solve(&p, &SgdConfig::new(2).with_lambda(1e-3).with_epochs(400));
         let f_als = crate::als::AlsConfig::new(2)
             .with_lambda(1e-3)
             .with_max_iters(200)
@@ -294,8 +282,8 @@ mod tests {
             StepSchedule::default(),
         ] {
             let cfg = SgdConfig::new(2).with_epochs(20).with_schedule(schedule);
-            let (f1, _) = solve_sgd(&p, &cfg);
-            let (f2, _) = solve_sgd(&p, &cfg);
+            let (f1, _) = solve(&p, &cfg);
+            let (f2, _) = solve(&p, &cfg);
             assert_eq!(f1.w.as_slice(), f2.w.as_slice(), "{schedule:?}");
         }
     }
@@ -308,8 +296,8 @@ mod tests {
         // reproduces the diminishing-step behavior for comparison.
         let (p, _) = masked_low_rank(12, 14, 2, 0.5, 21);
         let budget = 150;
-        let adaptive = solve_sgd(&p, &SgdConfig::new(2).with_lambda(1e-3).with_epochs(budget)).1;
-        let inv_sqrt = solve_sgd(
+        let adaptive = solve(&p, &SgdConfig::new(2).with_lambda(1e-3).with_epochs(budget)).1;
+        let inv_sqrt = solve(
             &p,
             &SgdConfig::new(2)
                 .with_lambda(1e-3)
@@ -324,7 +312,7 @@ mod tests {
             "adaptive {final_adaptive} vs inv-sqrt {final_inv_sqrt}"
         );
         // And it must come close to the exact ridge solves (the ~2×
-        // criterion is asserted against ALS in the pipeline tests).
+        // bound is asserted against ALS in the pipeline tests).
         let als = crate::als::AlsConfig::new(2)
             .with_lambda(1e-3)
             .with_max_iters(200)
@@ -343,7 +331,7 @@ mod tests {
         p.add_observation(0, 5, 2.0);
         p.add_observation(2, 5, 2.0);
         let ghost = p.ensure_column(77);
-        let (factors, _) = solve_sgd(&p, &SgdConfig::new(2).with_epochs(10));
+        let (factors, _) = solve(&p, &SgdConfig::new(2).with_epochs(10));
         assert!(factors.h.row(ghost).iter().all(|&v| v == 0.0));
     }
 }

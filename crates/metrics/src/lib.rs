@@ -16,18 +16,14 @@
 
 pub mod detection;
 pub mod ecdf;
-pub mod gini;
 pub mod jaccard;
-pub mod kendall;
 pub mod ranking;
 pub mod spearman;
 pub mod stats;
 
 pub use detection::{detection_auc, precision_at_k, DetectionError};
 pub use ecdf::Ecdf;
-pub use gini::gini_coefficient;
 pub use jaccard::jaccard_index;
-pub use kendall::kendall_tau;
 pub use ranking::{bottom_k_indices, ranks_average_ties, top_k_indices};
 pub use spearman::spearman_rho;
 pub use stats::{mean, median, std_dev};

@@ -36,7 +36,7 @@ use fedval_runtime::{with_job_class, CancelToken, Cancelled, JobClass, PoolHandl
 use fedval_shapley::{ValuationError, ValuationReport, ValuationSession};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// What to value and how, as submitted by a client.
@@ -192,16 +192,35 @@ struct JobState {
 
 /// Append-only log of line-delimited JSON event strings, with a
 /// condition variable so streamers can block for new entries.
+///
+/// [`Job::finish`] appends the terminal line and sets `closed` in one
+/// critical section, so a reader that sees the terminal line also sees
+/// the log closed, and the terminal line is always the last one: pushes
+/// after close are dropped.
+#[derive(Default)]
 struct EventLog {
-    entries: Mutex<Vec<String>>,
+    lines: Mutex<EventLines>,
     appended: Condvar,
 }
 
+#[derive(Default)]
+struct EventLines {
+    entries: Vec<String>,
+    closed: bool,
+}
+
 impl EventLog {
+    fn lock(&self) -> MutexGuard<'_, EventLines> {
+        self.lines.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn push(&self, line: String) {
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        entries.push(line);
-        drop(entries);
+        let mut lines = self.lock();
+        if lines.closed {
+            return;
+        }
+        lines.entries.push(line);
+        drop(lines);
         self.appended.notify_all();
     }
 }
@@ -331,40 +350,20 @@ impl Job {
     }
 
     /// Event lines from index `from` onward, plus whether more may
-    /// still arrive (`false` once the job is terminal and the log is
-    /// fully drained). Blocks up to `timeout` waiting for news when
-    /// nothing is pending.
+    /// still arrive (`false` once the log holds the terminal line).
+    /// Blocks up to `timeout` waiting for news when nothing is pending.
     pub fn events_since(&self, from: usize, timeout: Duration) -> (Vec<String>, bool) {
-        let mut entries = self
-            .events
-            .entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if entries.len() <= from && !self.status().is_terminal() {
-            let (guard, _) = self
+        let mut lines = self.events.lock();
+        if lines.entries.len() <= from && !lines.closed {
+            lines = self
                 .events
                 .appended
-                .wait_timeout(entries, timeout)
-                .unwrap_or_else(|e| e.into_inner());
-            entries = guard;
+                .wait_timeout(lines, timeout)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
-        let fresh: Vec<String> = entries[from.min(entries.len())..].to_vec();
-        let drained_len = entries.len();
-        drop(entries);
-        // More events can only arrive while the job is live; if it went
-        // terminal we must re-check the log *after* reading status so a
-        // terminal event pushed between our snapshot and the status
-        // read is not lost.
-        let live = !self.status().is_terminal();
-        let more = live || {
-            let entries = self
-                .events
-                .entries
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            entries.len() > drained_len
-        };
-        (fresh, more)
+        let fresh = lines.entries[from.min(lines.entries.len())..].to_vec();
+        (fresh, !lines.closed)
     }
 
     fn set_status(&self, status: JobStatus) {
@@ -394,12 +393,18 @@ impl Job {
                 Err(message) => state.error = Some(message),
             }
         }
-        self.events.push(format!(
+        // The status changes under the log's lock, so once `wait` sees
+        // it terminal, every later `events_since` sees the closed log.
+        let mut lines = self.events.lock();
+        self.set_status(status);
+        lines.entries.push(format!(
             "{{\"job\": {}, \"stage\": \"{}\"}}",
             self.id,
             status.name()
         ));
-        self.set_status(status);
+        lines.closed = true;
+        drop(lines);
+        self.events.appended.notify_all();
     }
 
     /// Terminal transition after a cancellation checkpoint fired:
@@ -660,10 +665,7 @@ impl JobManager {
                 finished: None,
             }),
             state_changed: Condvar::new(),
-            events: EventLog {
-                entries: Mutex::new(Vec::new()),
-                appended: Condvar::new(),
-            },
+            events: EventLog::default(),
             deadline_fired: AtomicBool::new(false),
         });
         self.inner
@@ -1177,6 +1179,37 @@ mod tests {
     }
 
     #[test]
+    fn terminal_event_closes_the_event_stream() {
+        let manager = JobManager::new();
+        for method in ["fedsv", "comfedsv", "tmc", "exact"] {
+            let job = manager.submit(tiny_spec(method)).unwrap();
+            let terminal = |line: &String| line.contains("\"stage\": \"done\"");
+            let mut cursor = 0;
+            loop {
+                let (fresh, more) = job.events_since(cursor, Duration::from_secs(60));
+                cursor += fresh.len();
+                let ended = fresh.iter().any(terminal);
+                assert_eq!(more, !ended, "{method}: batch {fresh:?}");
+                if ended {
+                    assert!(
+                        terminal(fresh.last().unwrap()),
+                        "{method}: terminal is last"
+                    );
+                    break;
+                }
+            }
+            // Right after the terminal line: no wait, nothing new, and
+            // pushes after close (here a late cancel) are dropped.
+            job.cancel();
+            let start = Instant::now();
+            let (fresh, more) = job.events_since(cursor, Duration::from_secs(60));
+            assert!(fresh.is_empty() && !more, "{method}: {fresh:?}");
+            assert!(start.elapsed() < Duration::from_secs(5), "{method}");
+            assert_eq!(job.status(), JobStatus::Done);
+        }
+    }
+
+    #[test]
     fn unknown_method_and_scenario_are_rejected() {
         let manager = JobManager::new();
         assert_eq!(
@@ -1295,13 +1328,22 @@ mod tests {
     #[test]
     fn shutdown_checkpoint_cancels_stragglers() {
         let manager = JobManager::new();
-        let mut spec = tiny_spec("tmc");
-        spec.permutations = 500_000;
+        let spec = tiny_spec("tmc");
+        // A phantom peer "building" the job's world: the job waits on
+        // the world memo, cancellably, and cannot finish on its own in
+        // any build profile or on any machine.
+        let world = world_fingerprint(&spec.resolve_scenario().unwrap(), spec.seed);
+        manager
+            .inner
+            .worlds
+            .map
+            .lock()
+            .unwrap()
+            .insert(world.to_hex(), WorldState::Building);
         let job = manager.submit(spec).unwrap();
         while job.status() == JobStatus::Queued {
             std::thread::sleep(Duration::from_millis(1));
         }
-        std::thread::sleep(Duration::from_millis(30));
         // Small grace: the drain phase (grace/2) gives up quickly and
         // the checkpoint-cancel phase takes over.
         let summary = manager.shutdown(Duration::from_secs(4));

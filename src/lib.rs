@@ -75,10 +75,4 @@ pub mod prelude {
         GroupTesting, MethodDefaults, RunContext, Tmc, ValuationError, ValuationReport,
         ValuationSession, Valuator,
     };
-
-    // Deprecated legacy surface (see MIGRATION.md).
-    #[allow(deprecated)]
-    pub use fedval_shapley::{
-        comfedsv_pipeline, fedsv, fedsv_monte_carlo, ground_truth_valuation, ComFedSvConfig,
-    };
 }

@@ -1,15 +1,10 @@
-//! Equivalence suite for the `Valuator` redesign: every strategy object
-//! must be **bit-identical** to the legacy free function it replaced on a
-//! seeded world, and the old panic paths must now surface as typed
-//! [`ValuationError`]s.
-
-#![allow(deprecated)]
+//! Equivalence suite for the `Valuator` API: every strategy object
+//! gives **bit-identical** values through `dyn Valuator`, through a
+//! `ValuationSession`, and through its direct `.run()`, and invalid
+//! inputs surface as typed [`ValuationError`]s. The values themselves
+//! are pinned in `tests/golden_valuations.rs`.
 
 use comfedsv::prelude::*;
-use comfedsv::shapley::{
-    fedsv, fedsv_monte_carlo, ground_truth_valuation, group_testing_shapley, tmc_shapley,
-    GroupTesting, Tmc, ValuationSession,
-};
 
 fn seeded_world() -> (World, TrainingTrace) {
     let world = ExperimentBuilder::synthetic(true)
@@ -20,109 +15,6 @@ fn seeded_world() -> (World, TrainingTrace) {
         .build();
     let trace = world.train(&FlConfig::new(6, 3, 0.2, 23));
     (world, trace)
-}
-
-#[test]
-fn comfedsv_valuator_matches_legacy_pipeline_bitwise() {
-    let (world, trace) = seeded_world();
-    let oracle = world.oracle(&trace);
-    let cfg = ComFedSv::exact(5).with_lambda(1e-3).with_seed(23);
-    let legacy = comfedsv_pipeline(&oracle, &cfg);
-    let new = cfg.run(&oracle).unwrap();
-    assert_eq!(legacy.values, new.values);
-    assert_eq!(legacy.objective_trace, new.objective_trace);
-    // Through the trait object as well.
-    let boxed: Box<dyn Valuator> = Box::new(cfg.clone());
-    let report = boxed.value(&oracle, &mut RunContext::new()).unwrap();
-    assert_eq!(report.values, legacy.values);
-}
-
-#[test]
-fn comfedsv_monte_carlo_matches_legacy_bitwise() {
-    let (world, trace) = seeded_world();
-    let oracle = world.oracle(&trace);
-    let cfg = ComFedSv {
-        rank: 4,
-        lambda: 1e-3,
-        estimator: EstimatorKind::MonteCarlo {
-            num_permutations: 60,
-        },
-        als_max_iters: 50,
-        solver: Default::default(),
-        seed: 5,
-    };
-    let legacy = comfedsv_pipeline(&oracle, &cfg);
-    let new = cfg.run(&oracle).unwrap();
-    assert_eq!(legacy.values, new.values);
-    assert_eq!(legacy.permutations, new.permutations);
-}
-
-#[test]
-fn fedsv_valuators_match_legacy_bitwise() {
-    let (world, trace) = seeded_world();
-    let oracle = world.oracle(&trace);
-    assert_eq!(fedsv(&oracle), FedSv::exact().run(&oracle).unwrap());
-
-    let mc_cfg = FedSvConfig {
-        permutations_per_round: Some(80),
-        seed: 7,
-    };
-    assert_eq!(
-        fedsv_monte_carlo(&oracle, &mc_cfg),
-        FedSv::monte_carlo(mc_cfg.clone()).run(&oracle).unwrap()
-    );
-    let boxed: Box<dyn Valuator> = Box::new(FedSv::monte_carlo(mc_cfg));
-    let report = boxed.value(&oracle, &mut RunContext::new()).unwrap();
-    assert_eq!(report.method, "fedsv-mc");
-    assert_eq!(
-        report.values,
-        FedSv::monte_carlo(FedSvConfig {
-            permutations_per_round: Some(80),
-            seed: 7,
-        })
-        .run(&oracle)
-        .unwrap()
-    );
-}
-
-#[test]
-fn tmc_valuator_matches_legacy_bitwise() {
-    let (world, trace) = seeded_world();
-    let oracle = world.oracle(&trace);
-    let cfg = Tmc {
-        permutations: 40,
-        truncation_tol: 0.02,
-        seed: 3,
-        ..Tmc::default()
-    };
-    let legacy = tmc_shapley(&oracle, &cfg);
-    let new = cfg.run(&oracle).unwrap();
-    assert_eq!(legacy.values, new.values);
-    assert_eq!(legacy.truncated_fraction, new.truncated_fraction);
-}
-
-#[test]
-fn group_testing_valuator_matches_legacy_bitwise() {
-    let (world, trace) = seeded_world();
-    let oracle = world.oracle(&trace);
-    let cfg = GroupTesting {
-        num_samples: 150,
-        seed: 11,
-    };
-    assert_eq!(
-        group_testing_shapley(&oracle, &cfg),
-        cfg.run(&oracle).unwrap()
-    );
-}
-
-#[test]
-fn exact_valuator_matches_legacy_ground_truth_bitwise() {
-    let (world, trace) = seeded_world();
-    let oracle = world.oracle(&trace);
-    assert_eq!(
-        ground_truth_valuation(&oracle),
-        ExactShapley.run(&oracle).unwrap()
-    );
 }
 
 #[test]
@@ -143,23 +35,54 @@ fn session_sweep_is_bit_identical_to_direct_valuators() {
 #[test]
 fn all_methods_box_as_dyn_valuator() {
     let (world, trace) = seeded_world();
-    let methods: Vec<Box<dyn Valuator>> = vec![
+    let comfedsv = ComFedSv::exact(4).with_lambda(1e-3).with_seed(23);
+    let comfedsv_mc = ComFedSv {
+        rank: 4,
+        lambda: 1e-3,
+        estimator: EstimatorKind::MonteCarlo {
+            num_permutations: 60,
+        },
+        als_max_iters: 50,
+        solver: Default::default(),
+        seed: 5,
+    };
+    let fedsv_mc = FedSv::monte_carlo(FedSvConfig {
+        permutations_per_round: Some(80),
+        seed: 7,
+    });
+    let tmc = Tmc {
+        permutations: 40,
+        truncation_tol: 0.02,
+        seed: 3,
+        ..Tmc::default()
+    };
+    let group_testing = GroupTesting {
+        num_samples: 150,
+        seed: 11,
+    };
+
+    // Each method's direct `.run()` values: the boxed run must match
+    // them bit for bit.
+    let oracle = world.oracle(&trace);
+    let direct = [
+        ExactShapley.run(&oracle).unwrap(),
+        FedSv::exact().run(&oracle).unwrap(),
+        fedsv_mc.run(&oracle).unwrap(),
+        comfedsv.run(&oracle).unwrap().values,
+        comfedsv_mc.run(&oracle).unwrap().values,
+        tmc.run(&oracle).unwrap().values,
+        group_testing.run(&oracle).unwrap(),
+    ];
+    let methods: [Box<dyn Valuator>; 7] = [
         Box::new(ExactShapley),
         Box::new(FedSv::exact()),
-        Box::new(FedSv::monte_carlo(FedSvConfig::default())),
-        Box::new(ComFedSv::exact(4).with_lambda(1e-3)),
-        Box::new(Tmc {
-            permutations: 20,
-            truncation_tol: 0.01,
-            seed: 1,
-            ..Tmc::default()
-        }),
-        Box::new(GroupTesting {
-            num_samples: 60,
-            seed: 1,
-        }),
+        Box::new(fedsv_mc),
+        Box::new(comfedsv),
+        Box::new(comfedsv_mc),
+        Box::new(tmc),
+        Box::new(group_testing),
     ];
-    for m in methods {
+    for (m, direct) in methods.iter().zip(direct) {
         // Fresh oracle per method: cells_evaluated counts real model
         // evaluations, and a shared cache would zero it for later runs.
         let oracle = world.oracle(&trace);
@@ -167,6 +90,7 @@ fn all_methods_box_as_dyn_valuator() {
         assert_eq!(report.values.len(), 6, "{}", m.name());
         assert!(report.values.iter().all(|v| v.is_finite()), "{}", m.name());
         assert!(report.diagnostics.cells_evaluated > 0, "{}", m.name());
+        assert_eq!(report.values, direct, "{}", m.name());
     }
 }
 
