@@ -14,8 +14,9 @@
 //!   to recompute, never to wrong values;
 //! * [`CellCache`] — the façade gluing the two together: dirty cells
 //!   evicted under memory pressure spill to disk, [`CellCache::flush`]
-//!   persists whatever remains, and [`CellCache::attach`] pre-loads a
-//!   trace's persisted cells once per process.
+//!   persists whatever remains (a flush with nothing to write touches
+//!   no file), and [`CellCache::attach`] pre-loads a trace's persisted
+//!   cells once per process.
 //!
 //! The oracle in `fedval_fl` keys into this cache with a
 //! [`Fingerprint`] that covers everything a cell's value depends on
@@ -29,7 +30,9 @@
 //!
 //! * segment and trace writes are temp + rename under unique names, so
 //!   readers never observe a partial file and a `SIGKILL` mid-write
-//!   leaves only a `*.tmp` orphan (swept by the maintenance janitor);
+//!   leaves only a `*.tmp` orphan (swept by the maintenance janitor,
+//!   which runs when a cache opens its directory and after every flush
+//!   that wrote cells);
 //! * the mutating maintenance operations (manifest rewrite, segment
 //!   compaction, orphan GC) run under a single-writer advisory file
 //!   lock ([`DirLock`] on `writer.lock`) that the kernel releases on
@@ -331,16 +334,23 @@ impl CellCache {
     /// Persists all dirty cells (evicted spill buffer + still-resident),
     /// refreshes the manifest, and runs one maintenance turn (orphan
     /// sweep + compaction, skipped if another process is the writer).
-    /// Returns cells written. No-op without a usable disk directory.
-    /// I/O errors are logged degradations — dirty cells stay buffered
-    /// for the next flush attempt until the write-error limit trips
-    /// degraded mode.
+    /// Returns cells written. A clean flush — nothing buffered, nothing
+    /// dirty, the common case for a job served entirely from cache —
+    /// returns 0 without touching the directory: no segment, manifest,
+    /// or maintenance turn (orphans wait for the next flush that writes,
+    /// or the next [`CellCache::new`]). No-op without a usable disk
+    /// directory. I/O errors are logged degradations — dirty cells stay
+    /// buffered for the next flush attempt until the write-error limit
+    /// trips degraded mode.
     pub fn flush(&self) -> u64 {
         if self.disk_ok().is_none() {
             return 0;
         }
         let mut pending = std::mem::take(&mut *self.spill_buf.lock());
         pending.extend(self.store.drain_dirty());
+        if pending.is_empty() {
+            return 0;
+        }
         let written = self.write_segments(pending);
         if let Some(disk) = self.disk_ok() {
             let outcome = disk.maintain();
@@ -578,6 +588,69 @@ mod tests {
         }
         // Second attach is a no-op.
         assert_eq!(cache.attach(Fingerprint::from_bits(99), 0), 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Back-dates `path`'s modification time by an hour and returns it.
+    fn backdate(path: &std::path::Path) -> std::time::SystemTime {
+        let old = std::time::SystemTime::now() - std::time::Duration::from_secs(3600);
+        fs::File::options()
+            .write(true)
+            .open(path)
+            .unwrap()
+            .set_times(fs::FileTimes::new().set_modified(old))
+            .unwrap();
+        fs::metadata(path).unwrap().modified().unwrap()
+    }
+
+    fn dir_listing(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn clean_flush_touches_no_file_and_dirty_flush_still_maintains() {
+        let dir = tmpdir("cleanflush");
+        let cache = CellCache::with_dir(DEFAULT_MEM_BUDGET_BYTES, &dir);
+        let (slot, _) = cache.slot(key(0, 1));
+        *slot.write() = Some(1.0);
+        drop(slot);
+        cache.complete(key(0, 1), 1.0);
+        assert_eq!(cache.flush(), 1);
+
+        let manifest = dir.join("manifest.json");
+        let lock = dir.join(WRITER_LOCK_FILE);
+        let manifest_bytes = fs::read(&manifest).unwrap();
+        let (manifest_time, lock_time) = (backdate(&manifest), backdate(&lock));
+        let orphan = dir.join("seg-orphan.cells.tmp");
+        fs::write(&orphan, b"partial").unwrap();
+        backdate(&orphan);
+        let listing = dir_listing(&dir);
+
+        // Nothing dirty: no segment, no manifest rewrite, no writer
+        // lock, no orphan sweep.
+        assert_eq!(cache.flush(), 0);
+        assert_eq!(dir_listing(&dir), listing);
+        assert_eq!(fs::read(&manifest).unwrap(), manifest_bytes);
+        assert_eq!(
+            fs::metadata(&manifest).unwrap().modified().unwrap(),
+            manifest_time
+        );
+        assert_eq!(fs::metadata(&lock).unwrap().modified().unwrap(), lock_time);
+        assert!(orphan.exists());
+
+        // A flush that writes still runs the maintenance turn.
+        let (slot, _) = cache.slot(key(1, 1));
+        *slot.write() = Some(2.0);
+        drop(slot);
+        cache.complete(key(1, 1), 2.0);
+        assert_eq!(cache.flush(), 1);
+        assert!(!orphan.exists(), "the back-dated orphan is swept");
+        drop(cache);
         fs::remove_dir_all(&dir).unwrap();
     }
 

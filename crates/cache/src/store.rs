@@ -40,7 +40,7 @@
 
 use crate::hash::Fingerprint;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// A write-once utility-cell slot, shared with `fedval_fl`'s oracle:
@@ -72,9 +72,6 @@ struct Entry {
     slot: CellSlot,
     /// Second-chance bit, set on every lookup.
     referenced: bool,
-    /// Completed in this process and not yet persisted (spill / flush
-    /// candidates). Disk-loaded cells are clean and drop silently.
-    dirty: bool,
     /// Whether `mark_complete` ran for this entry (the slot holds a
     /// value that is safe to read without blocking once unpinned).
     complete: bool,
@@ -85,6 +82,12 @@ struct StoreInner {
     /// Second-chance sweep order; stale keys (already evicted) are
     /// dropped lazily as the hand reaches them.
     queue: VecDeque<CellKey>,
+    /// Resident cells completed in this process and not yet persisted
+    /// (spill / flush candidates), so a flush visits only these.
+    /// Disk-loaded cells are clean and drop silently; an evicted dirty
+    /// cell leaves the set as it is handed out for spilling, so it is
+    /// written exactly once.
+    dirty: HashSet<CellKey>,
     evictions: u64,
     abandoned: u64,
 }
@@ -113,6 +116,7 @@ impl CellStore {
             inner: Mutex::new(StoreInner {
                 map: HashMap::new(),
                 queue: VecDeque::new(),
+                dirty: HashSet::new(),
                 evictions: 0,
                 abandoned: 0,
             }),
@@ -153,7 +157,6 @@ impl CellStore {
                     Entry {
                         slot: Arc::clone(&slot),
                         referenced: true,
-                        dirty: false,
                         complete: false,
                     },
                 );
@@ -173,23 +176,20 @@ impl CellStore {
     pub fn mark_complete(&self, key: CellKey, value: f64) -> Vec<(CellKey, f64)> {
         let mut inner = self.inner.lock();
         match inner.map.get_mut(&key) {
-            Some(entry) => {
-                entry.complete = true;
-                entry.dirty = true;
-            }
+            Some(entry) => entry.complete = true,
             None => {
                 inner.map.insert(
                     key,
                     Entry {
                         slot: Arc::new(RwLock::new(Some(value))),
                         referenced: true,
-                        dirty: true,
                         complete: true,
                     },
                 );
                 inner.queue.push_back(key);
             }
         }
+        inner.dirty.insert(key);
         self.enforce_budget(&mut inner)
     }
 
@@ -203,7 +203,6 @@ impl CellStore {
             e.insert(Entry {
                 slot: Arc::new(RwLock::new(Some(value))),
                 referenced: false,
-                dirty: false,
                 complete: true,
             });
             inner.queue.push_back(key);
@@ -212,26 +211,27 @@ impl CellStore {
     }
 
     /// Drains every dirty completed cell (marking it clean) for
-    /// persistence. Cells whose slots are pinned by an evaluator are
-    /// still drained — completed slots are only ever read-locked, and
-    /// any write-lock holder is a raced evaluator about to observe
-    /// `Some` and release, so the read below blocks at most briefly.
+    /// persistence, visiting only the dirty set — not every resident
+    /// entry. Cells whose slots are pinned by an evaluator are still
+    /// drained — completed slots are only ever read-locked, and any
+    /// write-lock holder is a raced evaluator about to observe `Some`
+    /// and release, so the read below blocks at most briefly.
     pub fn drain_dirty(&self) -> Vec<(CellKey, f64)> {
         let mut inner = self.inner.lock();
-        let mut out = Vec::new();
-        let keys: Vec<CellKey> = inner
-            .map
-            .iter()
-            .filter(|(_, e)| e.complete && e.dirty)
-            .map(|(k, _)| *k)
-            .collect();
-        for key in keys {
-            let entry = inner.map.get_mut(&key).expect("key collected above");
-            if let Some(value) = *entry.slot.read() {
-                entry.dirty = false;
-                out.push((key, value));
+        let inner = &mut *inner;
+        let mut out = Vec::with_capacity(inner.dirty.len());
+        inner.dirty.retain(|key| {
+            // Dirty keys are resident (eviction removes them from the
+            // set) and complete (`mark_complete` adds them).
+            let entry = &inner.map[key];
+            match *entry.slot.read() {
+                Some(value) => {
+                    out.push((*key, value));
+                    false
+                }
+                None => true,
             }
-        }
+        });
         out
     }
 
@@ -296,10 +296,11 @@ impl CellStore {
             // nobody can hold the lock, so this read never blocks.
             let entry = inner.map.remove(&key).expect("entry checked above");
             let value = *entry.slot.read();
+            let dirty = inner.dirty.remove(&key);
             match value {
                 Some(value) => {
                     inner.evictions += 1;
-                    if entry.dirty {
+                    if dirty {
                         spill.push((key, value));
                     }
                 }
@@ -390,6 +391,38 @@ mod tests {
         let drained = store.drain_dirty();
         assert_eq!(drained.len(), 2);
         assert!(store.drain_dirty().is_empty(), "second drain must be empty");
+    }
+
+    #[test]
+    fn evicted_dirty_cells_spill_once_and_never_drain() {
+        let store = CellStore::with_capacity_cells(2);
+        let mut spilled = Vec::new();
+        for i in 0..6 {
+            spilled.extend(complete(&store, key(i, 1), i as f64));
+        }
+        let drained = store.drain_dirty();
+        // Every computed cell leaves exactly once: by eviction (spill)
+        // or by the drain, never both.
+        assert_eq!(spilled.len() + drained.len(), 6);
+        let mut rounds: Vec<u32> = spilled
+            .iter()
+            .chain(&drained)
+            .map(|(k, _)| k.round)
+            .collect();
+        rounds.sort_unstable();
+        assert_eq!(rounds, (0..6).collect::<Vec<_>>());
+        assert_eq!(
+            drained.len(),
+            store.len(),
+            "the residents are the drained cells"
+        );
+        assert!(store.drain_dirty().is_empty());
+        // A clean resident evicted later spills nothing.
+        let mut later = Vec::new();
+        for i in 10..14 {
+            later.extend(store.insert_clean(key(i, 1), i as f64));
+        }
+        assert!(later.is_empty(), "drained cells are clean: {later:?}");
     }
 
     #[test]

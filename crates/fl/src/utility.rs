@@ -374,7 +374,18 @@ impl<'a> UtilityOracle<'a> {
 
     /// See [`Self::with_shared_cache`].
     pub fn set_shared_cache(&mut self, cache: Arc<CellCache>) {
-        let trace = self.fingerprint();
+        self.set_shared_cache_keyed(cache, self.fingerprint());
+    }
+
+    /// [`Self::set_shared_cache`] with the oracle's [`Self::fingerprint`]
+    /// supplied by the caller, who computed it once for the trace and
+    /// reuses it for every oracle over it — hashing the whole trace
+    /// again is the dominant fixed cost of a cache-warm job. The
+    /// fingerprint does not depend on the tier, so one value serves
+    /// oracles at any tier. Debug builds check it against a fresh
+    /// [`Self::fingerprint`].
+    pub fn set_shared_cache_keyed(&mut self, cache: Arc<CellCache>, trace: Fingerprint) {
+        debug_assert_eq!(trace, self.fingerprint(), "stale oracle fingerprint");
         self.disk_warm += cache.attach(trace, self.tier.id());
         self.shared = Some(SharedCells { cache, trace });
     }

@@ -132,60 +132,24 @@ fn solve_in_place(l: &Matrix, y: &mut [f64]) {
     }
 }
 
-/// Reusable buffers for [`ridge_solve_into`]: the Gram matrix, its
-/// Cholesky factor, and the right-hand side. One per ALS worker; grows
-/// to the largest rank seen and never allocates again.
-#[derive(Debug, Clone, Default)]
-pub struct RidgeScratch {
-    gram: Matrix,
-    l: Matrix,
-    rhs: Vec<f64>,
-}
-
-impl RidgeScratch {
-    /// Empty scratch; buffers are grown on first use.
-    pub fn new() -> Self {
-        RidgeScratch::default()
-    }
-}
-
 /// Solves the ridge-regularized normal equations `(AᵀA + λI) x = Aᵀ b`.
 ///
 /// This is the exact sub-problem of the ALS pass over problem (13): each row
 /// of `W` (resp. `H`) is the ridge solution against the observed entries of
 /// its row (resp. column). `λ` must be strictly positive, which also
 /// guarantees positive definiteness regardless of `A`'s rank.
+///
+/// The ALS half-steps in `fedval_mc` solve these systems without
+/// gathering `A`, sharing one factor between columns with equal
+/// observation patterns; this direct form is the reference their
+/// tests compare against bit for bit.
 pub fn ridge_solve(a: &Matrix, b: &[f64], lambda: f64) -> Result<Vec<f64>> {
-    let mut out = vec![0.0; a.cols()];
-    ridge_solve_into(a, b, lambda, &mut out, &mut RidgeScratch::new())?;
-    Ok(out)
-}
-
-/// [`ridge_solve`] into a caller-provided solution slice (`a.cols()`
-/// long) with reusable [`RidgeScratch`] buffers — the allocation-free
-/// form the ALS half-steps call per factor row. The normal-equation
-/// assembly routes through the blocked
-/// [`gemm::gram_into`](crate::gemm::gram_into) kernel; per element the
-/// accumulation order over `a`'s rows is unchanged from the direct
-/// assembly. (Unlike the pre-scratch assembly, exact-zero terms are no
-/// longer skipped: on finite inputs — which the completion problem
-/// enforces at observation insert — adding a `±0.0` product can only
-/// alter a sum's bits in contrived signed-zero cases that the
-/// accumulators, starting from `+0.0`, do not reach; the end-to-end
-/// valuation bit-equality tests pin this.)
-pub fn ridge_solve_into(
-    a: &Matrix,
-    b: &[f64],
-    lambda: f64,
-    out: &mut [f64],
-    scratch: &mut RidgeScratch,
-) -> Result<()> {
     if lambda <= 0.0 {
         return Err(LinalgError::InvalidDimension {
             what: "ridge lambda must be positive",
         });
     }
-    if a.rows() != b.len() || out.len() != a.cols() {
+    if a.rows() != b.len() {
         return Err(LinalgError::ShapeMismatch {
             op: "ridge_solve",
             lhs: a.shape(),
@@ -193,28 +157,27 @@ pub fn ridge_solve_into(
         });
     }
     let r = a.cols();
-    // gram_into overwrites every entry; solve_in_place reads only the
-    // lower triangle factor_lower writes — no zero-fill needed.
-    scratch.gram.resize_for_overwrite(r, r);
-    crate::gemm::gram_into(
-        a.as_slice(),
-        a.rows(),
-        r,
-        lambda,
-        scratch.gram.as_mut_slice(),
-    );
-    // Right-hand side Aᵀ b, accumulated row by row (i ascending, exactly
-    // the matvec_transpose order).
-    scratch.rhs.clear();
-    scratch.rhs.resize(r, 0.0);
+    // Normal equations AᵀA + λI, per element accumulated over `a`'s rows
+    // in ascending order from +0.0, with λ added to the diagonal last.
+    let mut gram = Matrix::zeros(r, r);
+    let mut rhs = vec![0.0; r];
     for i in 0..a.rows() {
-        crate::vector::axpy(b[i], a.row(i), &mut scratch.rhs);
+        let row = a.row(i);
+        for p in 0..r {
+            for q in 0..r {
+                gram.set(p, q, gram.get(p, q) + row[p] * row[q]);
+            }
+        }
+        // Right-hand side Aᵀ b, in the `matvec_transpose` order.
+        crate::vector::axpy(b[i], row, &mut rhs);
     }
-    scratch.l.resize_for_overwrite(r, r);
-    factor_lower(&scratch.gram, &mut scratch.l)?;
-    out.copy_from_slice(&scratch.rhs);
-    solve_in_place(&scratch.l, out);
-    Ok(())
+    for p in 0..r {
+        gram.set(p, p, gram.get(p, p) + lambda);
+    }
+    let mut l = Matrix::zeros(r, r);
+    factor_lower(&gram, &mut l)?;
+    solve_in_place(&l, &mut rhs);
+    Ok(rhs)
 }
 
 #[cfg(test)]
@@ -315,25 +278,6 @@ mod tests {
         let x = ridge_solve(&a, &b, 1e-3).unwrap();
         // Symmetry of the problem forces x[0] == x[1].
         assert!(approx(x[0], x[1], 1e-9));
-    }
-
-    #[test]
-    fn ridge_solve_into_matches_allocating_form_bitwise() {
-        let a = Matrix::from_rows(&[&[1.0, 0.3], &[0.2, 1.1], &[-0.5, 2.0], &[1.5, -0.4]]).unwrap();
-        let b = [0.5, -1.0, 2.0, 0.25];
-        let expect = ridge_solve(&a, &b, 0.05).unwrap();
-        let mut scratch = RidgeScratch::new();
-        let mut out = vec![0.0; 2];
-        // Two calls through the same scratch: the second reuses buffers.
-        for _ in 0..2 {
-            ridge_solve_into(&a, &b, 0.05, &mut out, &mut scratch).unwrap();
-            for (x, y) in out.iter().zip(&expect) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        // Wrong output length is a shape error, not a panic.
-        let mut short = vec![0.0; 1];
-        assert!(ridge_solve_into(&a, &b, 0.05, &mut short, &mut scratch).is_err());
     }
 
     #[test]

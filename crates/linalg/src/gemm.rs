@@ -1,6 +1,5 @@
 //! Cache-blocked GEMM family: the allocation-free batch kernels behind
-//! the minibatch model math, the ALS normal equations, and the factor
-//! products.
+//! the minibatch model math and the factor products.
 //!
 //! # The determinism contract
 //!
@@ -371,20 +370,6 @@ pub fn col_sums_acc(a: &[f64], cols: usize, out: &mut [f64]) {
     debug_assert_eq!(a.len() % cols.max(1), 0);
     for row in a.chunks_exact(cols) {
         vector::axpy(1.0, row, out);
-    }
-}
-
-/// Ridge Gram matrix `G = AᵀA + λI` — `a` is `m × r`, `out` is `r × r`,
-/// overwritten. The assembly half of the ALS normal equations, routed
-/// through [`gemm_tn_acc`] (per element: `i` ascending over `a`'s rows,
-/// `λ` added to the diagonal afterwards — the order the unblocked
-/// assembly used).
-pub fn gram_into(a: &[f64], m: usize, r: usize, lambda: f64, out: &mut [f64]) {
-    debug_assert_eq!(out.len(), r * r);
-    out.iter_mut().for_each(|v| *v = 0.0);
-    gemm_tn_acc(a, a, out, m, r, r);
-    for p in 0..r {
-        out[p * r + p] += lambda;
     }
 }
 
@@ -1078,32 +1063,6 @@ mod tests {
             }
         }
         for (x, y) in sums.iter().zip(&expect) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn gram_matches_unblocked_assembly() {
-        let (m, r) = (23, 4);
-        let a = fill(5, m * r);
-        let lambda = 0.37;
-        let mut fast = vec![0.0; r * r];
-        gram_into(&a, m, r, lambda, &mut fast);
-        // The pre-refactor assembly: i outer, per-element i ascending,
-        // lambda added after.
-        let mut slow = vec![0.0; r * r];
-        for i in 0..m {
-            let row = &a[i * r..(i + 1) * r];
-            for p in 0..r {
-                for q in 0..r {
-                    slow[p * r + q] += row[p] * row[q];
-                }
-            }
-        }
-        for p in 0..r {
-            slow[p * r + p] += lambda;
-        }
-        for (x, y) in fast.iter().zip(&slow) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
     }

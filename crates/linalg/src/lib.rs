@@ -4,7 +4,7 @@
 //!
 //! * a row-major [`Matrix`] with BLAS-1/2/3 style operations ([`matrix`]),
 //! * the cache-blocked, bit-deterministic GEMM family behind the
-//!   minibatch model kernels and the ALS normal equations ([`gemm`]),
+//!   minibatch model kernels and the factor products ([`gemm`]),
 //! * vector kernels shared by the model/optimizer code ([`vector`]),
 //! * a Cholesky SPD solver used by the ALS matrix-completion sub-problems
 //!   ([`cholesky`]),

@@ -42,8 +42,9 @@ use std::sync::OnceLock;
 ///
 /// Everything else — `add_bias_rows`, `col_sums_acc`, `vector::dot` /
 /// `axpy`, softmax/log-sum-exp, Cholesky/QR/SVD, the ALS matrix
-/// completion (`gram_into` stays bit-exact on purpose), and all
-/// per-sample reference paths — is identical in both tiers.
+/// completion (its Gram assembly and Cholesky solves in `fedval_mc`
+/// are scalar and bit-exact on purpose), and all per-sample reference
+/// paths — is identical in both tiers.
 ///
 /// `Fast` is still **deterministic**: the alternative reduction order is
 /// fixed and the kernel instantiation is chosen once per process

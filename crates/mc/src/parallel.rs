@@ -31,8 +31,8 @@ pub(crate) fn pooled_rows(target: &mut [f64], width: usize, f: impl Fn(usize, &m
 
 /// [`pooled_rows`] with per-worker scratch state: `init()` runs once
 /// per chunk (on the worker that takes it) and `f(&mut scratch, i,
-/// row_i)` per row. This is how the ALS half-steps reuse their
-/// design-matrix/ridge buffers across the rows of a sweep instead of
+/// row_i)` per row. This is how the ALS row half-step reuses its
+/// Gram/Cholesky buffers across the rows of a sweep instead of
 /// allocating per sub-solve. Determinism is unchanged: scratch is
 /// write-only state from `f`'s perspective between rows (each row's
 /// result must not depend on which rows shared its scratch).
@@ -42,32 +42,45 @@ pub(crate) fn pooled_rows_init<S>(
     init: impl Fn() -> S + Sync,
     f: impl Fn(&mut S, usize, &mut [f64]) + Sync,
 ) {
+    pooled_row_chunks(target, width, MIN_ROWS_PER_WORKER, |start, chunk| {
+        let mut scratch = init();
+        for (local, row) in chunk.chunks_mut(width).enumerate() {
+            f(&mut scratch, start + local, row);
+        }
+    });
+}
+
+/// The chunk-level form of [`pooled_rows`]: splits `target` into
+/// contiguous runs of whole `width`-wide rows, each at least
+/// `min_rows_per_worker` long (so cheap rows stay inline), and calls
+/// `f(start, chunk)` once per run, where `start` is the index of the
+/// run's first row. Callers that process several rows at once (the ALS
+/// column solves interleave independent columns) see every row exactly
+/// once; each row's result must still be a pure function of its index,
+/// so the split — which depends on the pool width — never shows in the
+/// output.
+pub(crate) fn pooled_row_chunks(
+    target: &mut [f64],
+    width: usize,
+    min_rows_per_worker: usize,
+    f: impl Fn(usize, &mut [f64]) + Sync,
+) {
     assert!(width > 0, "row width must be positive");
     let n = target.len() / width;
     if n == 0 {
         return;
     }
     let pool = Pool::global();
-    let workers = pool.threads().min(n / MIN_ROWS_PER_WORKER).max(1).min(n);
+    let workers = pool.threads().min(n / min_rows_per_worker).max(1).min(n);
     if workers == 1 {
-        let mut scratch = init();
-        for (i, row) in target.chunks_mut(width).enumerate() {
-            f(&mut scratch, i, row);
-        }
+        f(0, target);
         return;
     }
     let chunk_rows = n.div_ceil(workers);
     pool.scope(|scope| {
         for (chunk_idx, chunk) in target.chunks_mut(chunk_rows * width).enumerate() {
-            let start = chunk_idx * chunk_rows;
-            let init = &init;
             let f = &f;
-            scope.spawn(move || {
-                let mut scratch = init();
-                for (local, row) in chunk.chunks_mut(width).enumerate() {
-                    f(&mut scratch, start + local, row);
-                }
-            });
+            scope.spawn(move || f(chunk_idx * chunk_rows, chunk));
         }
     });
 }

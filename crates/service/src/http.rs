@@ -25,6 +25,7 @@
 use crate::job::{JobManager, SubmitError};
 use crate::wire;
 use fedval_runtime::{Pool, PoolHandle};
+use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -343,30 +344,39 @@ fn handle_events(
     let Some(job) = manager.get(id) else {
         return respond(stream, 404, &wire::render_error("no such job"));
     };
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
-         Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
+    stream.write_all(
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+          Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
     )?;
     let mut cursor = 0usize;
+    let mut buf = String::new();
     loop {
         let (fresh, more) = job.events_since(cursor, EVENT_POLL);
         cursor += fresh.len();
+        buf.clear();
         for line in &fresh {
-            write_chunk(stream, line)?;
+            push_chunk(&mut buf, line);
         }
-        if !more || shutdown.load(Ordering::Acquire) {
-            break;
+        let done = !more || shutdown.load(Ordering::Acquire);
+        if done {
+            // The terminating zero-length chunk.
+            buf.push_str("0\r\n\r\n");
+        }
+        if !buf.is_empty() {
+            stream.write_all(buf.as_bytes())?;
+        }
+        if done {
+            return Ok(());
         }
     }
-    stream.write_all(b"0\r\n\r\n")?;
-    stream.flush()
 }
 
-/// One chunked-encoding chunk holding `line` plus its newline.
-fn write_chunk(stream: &mut TcpStream, line: &str) -> io::Result<()> {
-    write!(stream, "{:x}\r\n{line}\n\r\n", line.len() + 1)?;
-    stream.flush()
+/// Appends one chunked-encoding chunk holding `line` plus its newline.
+/// The event stream renders every poll's chunks into one buffer and
+/// sends it with a single write: the socket is `TCP_NODELAY` and
+/// unbuffered, so each `write` call is its own segment.
+fn push_chunk(buf: &mut String, line: &str) {
+    let _ = write!(buf, "{:x}\r\n{line}\n\r\n", line.len() + 1);
 }
 
 fn status_text(status: u16) -> &'static str {
@@ -382,23 +392,23 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete JSON response with `Content-Length` framing.
-/// 503s carry `Retry-After` so load-shedding reads as backpressure,
-/// not failure.
+/// Writes a complete JSON response with `Content-Length` framing,
+/// rendered into one buffer and sent with a single write (see
+/// [`push_chunk`]). 503s carry `Retry-After` so load-shedding reads as
+/// backpressure, not failure.
 fn respond(stream: &mut TcpStream, status: u16, body: &str) -> io::Result<()> {
     let retry_after = if status == 503 {
         "Retry-After: 1\r\n"
     } else {
         ""
     };
-    write!(
-        stream,
+    let response = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\n{retry_after}\
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         status_text(status),
         body.len()
-    )?;
-    stream.flush()
+    );
+    stream.write_all(response.as_bytes())
 }
 
 #[cfg(test)]

@@ -161,7 +161,7 @@ impl JobStatus {
 
 /// How a job's oracle interacted with the shared cell-cache tier,
 /// captured when the job finishes and echoed in its status document.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct JobCacheInfo {
     /// Whether the trained world/trace came from the manager's memo
     /// (true: this job skipped world building and training entirely).
@@ -178,6 +178,11 @@ pub struct JobCacheInfo {
     /// abandoned after repeated write failures) when this job finished
     /// — the job still completed, served from memory.
     pub cache_degraded: bool,
+    /// The trace fingerprint the job's oracle attached to the cache
+    /// under: the key prefix of every cell it read or wrote. Computed
+    /// once per trained world, so every job on one world reports the
+    /// same value.
+    pub trace_fingerprint: Fingerprint,
 }
 
 /// Mutable run state guarded by the job's mutex.
@@ -453,13 +458,37 @@ impl std::fmt::Display for SubmitError {
 impl std::error::Error for SubmitError {}
 
 /// A memoized `(scenario, seed)` product: the built world, its trained
-/// trace, and the per-round base losses the first oracle evaluated.
-/// Shared read-only between every job with the same key, so repeat and
-/// concurrent submissions train once and value many times.
+/// trace, the per-round base losses the first oracle evaluated, and the
+/// oracle fingerprint over all three. Shared read-only between every
+/// job with the same key, so repeat and concurrent submissions train
+/// once, hash the trace once, and value many times.
 struct TrainedWorld {
     world: World,
     trace: TrainingTrace,
     base_losses: Vec<f64>,
+    /// [`UtilityOracle::fingerprint`] of any oracle over this world (it
+    /// covers the trace, prototype, test set and base losses, not the
+    /// tier): the cell-cache key prefix every job attaches under.
+    fingerprint: Fingerprint,
+}
+
+impl TrainedWorld {
+    /// Seals a trained world, hashing it once for the cell-cache key.
+    fn new(world: World, trace: TrainingTrace, base_losses: Vec<f64>) -> Arc<Self> {
+        let fingerprint = UtilityOracle::with_base_losses(
+            &trace,
+            world.prototype.as_ref(),
+            &world.test,
+            base_losses.clone(),
+        )
+        .fingerprint();
+        Arc::new(TrainedWorld {
+            world,
+            trace,
+            base_losses,
+            fingerprint,
+        })
+    }
 }
 
 /// State of one world-memo slot.
@@ -514,7 +543,9 @@ struct ManagerInner {
     max_active: usize,
     active: AtomicUsize,
     next_id: AtomicU64,
-    jobs: Mutex<Vec<Arc<Job>>>,
+    /// Every job ever submitted, by id (GET, events and cancel look
+    /// jobs up on every request).
+    jobs: Mutex<HashMap<u64, Arc<Job>>>,
     /// Set by [`JobManager::begin_shutdown`]: submissions are refused
     /// while running jobs drain.
     draining: AtomicBool,
@@ -575,7 +606,7 @@ impl JobManager {
                 max_active: Self::DEFAULT_MAX_ACTIVE,
                 active: AtomicUsize::new(0),
                 next_id: AtomicU64::new(1),
-                jobs: Mutex::new(Vec::new()),
+                jobs: Mutex::new(HashMap::new()),
                 draining: AtomicBool::new(false),
             }),
         }
@@ -672,7 +703,7 @@ impl JobManager {
             .jobs
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .push(Arc::clone(&job));
+            .insert(id, Arc::clone(&job));
         job.events.push(format!(
             "{{\"job\": {id}, \"stage\": \"submitted\", \"method\": \"{}\", \"scenario\": \"{}\", \"class\": \"{}\"}}",
             fedval_jsonio::escaped(&job.spec.method),
@@ -700,8 +731,7 @@ impl JobManager {
             .jobs
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .find(|j| j.id == id)
+            .get(&id)
             .cloned()
     }
 
@@ -746,7 +776,7 @@ impl JobManager {
                 .jobs
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
-                .iter()
+                .values()
                 .filter(|j| !j.status().is_terminal())
                 .cloned()
                 .collect();
@@ -1035,11 +1065,7 @@ fn rehydrate(record: TraceRecord, scenario: &Scenario, seed: u64) -> Option<Arc<
         final_params: record.final_params,
         num_clients,
     };
-    Some(Arc::new(TrainedWorld {
-        world,
-        trace,
-        base_losses: record.base_losses,
-    }))
+    Some(TrainedWorld::new(world, trace, record.base_losses))
 }
 
 /// The builder side of [`obtain_world`]: world construction, one
@@ -1061,11 +1087,7 @@ fn build_and_train(job: &Arc<Job>, scenario: &Scenario) -> Result<Arc<TrainedWor
         let oracle = world.oracle(&trace);
         oracle.base_losses().to_vec()
     };
-    Ok(Arc::new(TrainedWorld {
-        world,
-        trace,
-        base_losses,
-    }))
+    Ok(TrainedWorld::new(world, trace, base_losses))
 }
 
 fn run_job_inner(inner: &ManagerInner, job: &Arc<Job>, scenario: Scenario) {
@@ -1111,7 +1133,7 @@ fn run_job_inner(inner: &ManagerInner, job: &Arc<Job>, scenario: Scenario) {
     if let Some(tier) = spec.tier {
         oracle.set_tier(tier);
     }
-    oracle.set_shared_cache(Arc::clone(&inner.cache));
+    oracle.set_shared_cache_keyed(Arc::clone(&inner.cache), trained.fingerprint);
     let progress_job = Arc::clone(job);
     let mut builder = ValuationSession::builder()
         .rank(spec.rank)
@@ -1135,6 +1157,7 @@ fn run_job_inner(inner: &ManagerInner, job: &Arc<Job>, scenario: Scenario) {
         cells_computed: oracle.loss_evaluations(),
         disk_warm_cells: oracle.disk_warm_cells(),
         cache_degraded: inner.cache.is_degraded(),
+        trace_fingerprint: trained.fingerprint,
     });
     // Persist whatever this job computed before reporting terminal
     // state: a disk-backed cache must be warm for the next process by
@@ -1159,6 +1182,28 @@ mod tests {
         spec.clients_per_round = Some(3);
         spec.seed = 11;
         spec
+    }
+
+    #[test]
+    fn jobs_on_one_world_attach_under_its_oracle_fingerprint() {
+        let manager =
+            JobManager::with_pool_and_cache(PoolHandle::Global, CellCache::in_memory(1 << 20));
+        let first = manager.submit(tiny_spec("fedsv")).unwrap();
+        assert_eq!(first.wait(), JobStatus::Done);
+        let second = manager.submit(tiny_spec("comfedsv")).unwrap();
+        assert_eq!(second.wait(), JobStatus::Done);
+        let (first, second) = (first.cache_info().unwrap(), second.cache_info().unwrap());
+        assert!(
+            second.world_reused,
+            "the second job reuses the memoized world"
+        );
+        assert_eq!(first.trace_fingerprint, second.trace_fingerprint);
+
+        let spec = tiny_spec("fedsv");
+        let scenario = spec.resolve_scenario().unwrap();
+        let world = scenario.build(spec.seed);
+        let trace = world.train(&scenario.fl_config(spec.seed));
+        assert_eq!(first.trace_fingerprint, world.oracle(&trace).fingerprint());
     }
 
     #[test]
