@@ -324,10 +324,13 @@ impl CellCache {
         (slot, state)
     }
 
-    /// Records a freshly computed cell value (making it a dirty,
-    /// evictable resident).
+    /// Records a freshly computed cell value (making it an evictable
+    /// resident, dirty until persisted). Without a usable disk the cell
+    /// stays clean: nothing could ever drain it.
     pub fn complete(&self, key: CellKey, value: f64) {
-        let spill = self.store.mark_complete(key, value);
+        let spill = self
+            .store
+            .mark_complete(key, value, self.disk_ok().is_some());
         self.queue_spill(spill);
     }
 

@@ -168,12 +168,15 @@ impl CellStore {
         (slot, state, spill)
     }
 
-    /// Records that `key`'s cell now holds `value`. If the entry was
-    /// evicted between reservation and completion (possible only after
-    /// the computing evaluator dropped its slot clone), the completed
-    /// value is re-inserted so the work is not lost. Returns dirty
-    /// cells evicted by the post-completion budget check.
-    pub fn mark_complete(&self, key: CellKey, value: f64) -> Vec<(CellKey, f64)> {
+    /// Records that `key`'s cell now holds `value`, marking it dirty
+    /// (awaiting persistence) when `dirty` is set — a store nothing
+    /// persists passes `false`, since nothing could ever drain the key.
+    /// If the entry was evicted between reservation and completion
+    /// (possible only after the computing evaluator dropped its slot
+    /// clone), the completed value is re-inserted so the work is not
+    /// lost. Returns dirty cells evicted by the post-completion budget
+    /// check.
+    pub fn mark_complete(&self, key: CellKey, value: f64, dirty: bool) -> Vec<(CellKey, f64)> {
         let mut inner = self.inner.lock();
         match inner.map.get_mut(&key) {
             Some(entry) => entry.complete = true,
@@ -189,7 +192,9 @@ impl CellStore {
                 inner.queue.push_back(key);
             }
         }
-        inner.dirty.insert(key);
+        if dirty {
+            inner.dirty.insert(key);
+        }
         self.enforce_budget(&mut inner)
     }
 
@@ -328,7 +333,7 @@ mod tests {
         let (slot, _, mut spill) = store.slot(k);
         *slot.write() = Some(v);
         drop(slot);
-        spill.extend(store.mark_complete(k, v));
+        spill.extend(store.mark_complete(k, v, true));
         spill
     }
 
@@ -340,7 +345,7 @@ mod tests {
         assert!(slot.read().is_none());
         *slot.write() = Some(1.5);
         drop(slot);
-        store.mark_complete(key(0, 0b11), 1.5);
+        store.mark_complete(key(0, 0b11), 1.5, true);
         let (slot, state, _) = store.slot(key(0, 0b11));
         assert_eq!(state, SlotState::Complete);
         assert_eq!(*slot.read(), Some(1.5));
@@ -426,6 +431,22 @@ mod tests {
     }
 
     #[test]
+    fn clean_completions_never_spill_or_drain() {
+        let store = CellStore::with_capacity_cells(2);
+        let mut spilled = Vec::new();
+        for i in 0..6 {
+            let (slot, _, reserve_spill) = store.slot(key(i, 1));
+            *slot.write() = Some(i as f64);
+            drop(slot);
+            spilled.extend(reserve_spill);
+            spilled.extend(store.mark_complete(key(i, 1), i as f64, false));
+        }
+        assert!(store.evictions() >= 4);
+        assert!(spilled.is_empty(), "clean cells spilled: {spilled:?}");
+        assert!(store.drain_dirty().is_empty());
+    }
+
+    #[test]
     fn abandoned_reservations_are_dropped_not_counted_as_evictions() {
         let store = CellStore::with_capacity_cells(1);
         for i in 0..4 {
@@ -448,7 +469,7 @@ mod tests {
         }
         // key(0,1) may have been dropped as abandoned; completion must
         // still land the value.
-        store.mark_complete(key(0, 1), 3.0);
+        store.mark_complete(key(0, 1), 3.0, true);
         let (slot, state, _) = store.slot(key(0, 1));
         assert_eq!(state, SlotState::Complete);
         assert_eq!(*slot.read(), Some(3.0));

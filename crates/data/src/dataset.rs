@@ -114,14 +114,6 @@ impl Dataset {
         }
     }
 
-    /// Splits into `(first, second)` where `first` holds `n_first` examples.
-    pub fn split_at(&self, n_first: usize) -> (Dataset, Dataset) {
-        let n = self.len().min(n_first);
-        let first: Vec<usize> = (0..n).collect();
-        let second: Vec<usize> = (n..self.len()).collect();
-        (self.subset(&first), self.subset(&second))
-    }
-
     /// Per-class example counts (useful for partition diagnostics).
     pub fn class_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.num_classes];
@@ -210,24 +202,6 @@ mod tests {
         d.subset_into(&[1], &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out.example(0).0, &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn split_at_partitions() {
-        let d = tiny();
-        let (a, b) = d.split_at(2);
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 1);
-        assert_eq!(b.example(0).0, &[4.0, 5.0]);
-    }
-
-    #[test]
-    fn split_at_clamps() {
-        let d = tiny();
-        let (a, b) = d.split_at(10);
-        assert_eq!(a.len(), 3);
-        assert_eq!(b.len(), 0);
-        assert!(b.is_empty());
     }
 
     #[test]

@@ -95,12 +95,6 @@ pub struct SimImageSource {
 
 /// Simulated MNIST source.
 pub type SimMnist = SimImageSource;
-/// Simulated Fashion-MNIST source (alias; construct with
-/// [`SimImageSource::new`] and [`SimImageConfig::fashion_mnist`]).
-pub type SimFashionMnist = SimImageSource;
-/// Simulated CIFAR10 source (alias; construct with
-/// [`SimImageSource::new`] and [`SimImageConfig::cifar10`]).
-pub type SimCifar10 = SimImageSource;
 
 impl SimImageSource {
     /// Builds the fixed class prototypes and style directions for `config`.

@@ -33,7 +33,7 @@ pub mod synthetic;
 
 pub use behavior::{apply_label_corruption, LabelCorruption};
 pub use dataset::Dataset;
-pub use images::{SimCifar10, SimFashionMnist, SimImageConfig, SimMnist};
+pub use images::{SimImageConfig, SimMnist};
 pub use noise::{add_feature_noise, flip_labels};
 pub use partition::{
     duplicate_client, partition_dirichlet, partition_iid, partition_shards, DirichletSkew,

@@ -23,7 +23,7 @@
 //! * [`behavior`] — per-client adversarial/robustness behavior injection.
 //! * [`trainer`] — the FedAvg loop producing a [`TrainingTrace`].
 //! * [`utility`] — the utility oracle and its batch evaluation engine.
-//! * [`utility_matrix`] — full and observed utility-matrix builders.
+//! * [`utility_matrix`] — the full utility-matrix builder.
 
 pub mod behavior;
 pub mod config;
@@ -50,6 +50,4 @@ pub use fedval_models::DeterminismTier;
 pub use subset::Subset;
 pub use trainer::{train_federated, try_train_federated, TrainingTrace};
 pub use utility::{EvalPlan, UtilityOracle};
-pub use utility_matrix::{
-    full_utility_matrix, observed_entries, try_full_utility_matrix, ObservedEntry,
-};
+pub use utility_matrix::{full_utility_matrix, try_full_utility_matrix};

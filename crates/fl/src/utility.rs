@@ -41,10 +41,10 @@
 //!    single evaluation stops promptly; a cell abandoned mid-evaluation
 //!    is left unset — not stored, not counted — and a retry resumes it.
 //! 3. **Read.** [`UtilityOracle::utility`] stays the single-cell API it
-//!    always was — now a thin shim over the result table. A cache miss
-//!    (a cell outside any evaluated plan) falls back to a serial
-//!    evaluation on the shared scratch model, so incremental callers keep
-//!    working unchanged.
+//!    always was — a thin shim over the cell store. A miss (a cell
+//!    outside any evaluated plan) runs through the batch engine's
+//!    one-worker path as a one-cell batch on the shared scratch model,
+//!    so incremental callers keep working unchanged.
 //!
 //! Determinism: `U_t(S)` depends only on the recorded trace, the model
 //! architecture, and the test set — not on which worker computes it or in
@@ -56,29 +56,33 @@
 //! The oracle also counts test-loss evaluations
 //! ([`UtilityOracle::loss_evaluations`]) — the paper's cost unit.
 //!
-//! # The shared cache tier
+//! # The cell store
 //!
-//! By default each oracle owns a private, unbounded result table — the
-//! historical behavior, bit-for-bit. Attaching a process-shared
-//! [`fedval_cache::CellCache`] ([`UtilityOracle::with_shared_cache`])
-//! moves the slots into a bounded store keyed by `(trace fingerprint,
-//! tier, round, subset)`: concurrent oracles over the same trace share
-//! completed cells, memory pressure evicts (and optionally spills to
-//! disk) cold cells, and a disk-backed cache warm-starts repeat
-//! valuations across processes. Because cells are pure functions of the
-//! fingerprinted inputs, eviction and sharing can change *when* a cell
-//! is computed — never its bits; the only relaxation is that an evicted
-//! cell may be recomputed if asked for again. Hits are tallied in
+//! Every oracle reads and writes its cells through one
+//! [`fedval_cache::CellCache`], keyed by `(trace fingerprint, tier,
+//! round, subset)`. A new oracle owns a private, unbounded, memory-only
+//! cache whose keys carry a constant fingerprint (one oracle, one
+//! trace, so nothing can collide). Attaching a process-shared cache
+//! ([`UtilityOracle::with_shared_cache`]) swaps the private one out for
+//! it, keyed by [`UtilityOracle::fingerprint`]: concurrent oracles over
+//! the same trace share completed cells, memory pressure evicts (and
+//! optionally spills to disk) cold cells, and a disk-backed cache
+//! warm-starts repeat valuations across processes. Because cells are
+//! pure functions of the fingerprinted inputs, eviction and sharing can
+//! change *when* a cell is computed — never its bits; the only
+//! relaxation is that an evicted cell may be recomputed if asked for
+//! again. Keys carry the tier, so a retiered oracle never reads a cell
+//! computed at another tier. Hits are tallied in
 //! [`UtilityOracle::cell_hits`], never in the loss-evaluation counter.
 
 use crate::subset::Subset;
 use crate::trainer::TrainingTrace;
-use fedval_cache::{CellCache, CellKey, Fingerprint, FingerprintHasher};
+use fedval_cache::{CellCache, CellKey, CellSlot, Fingerprint, FingerprintHasher};
 use fedval_data::Dataset;
 use fedval_models::{DeterminismTier, Model, Workspace};
 use fedval_runtime::{CancelToken, Cancelled, PoolHandle};
-use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
+use parking_lot::Mutex;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -146,14 +150,6 @@ impl EvalPlan {
     }
 }
 
-/// One utility cell: `None` until evaluated. Initialization happens
-/// under the cell's write lock, so racing evaluators serialize and each
-/// cell is computed exactly once; reads after initialization take an
-/// uncontended read lock. A cancelled evaluation simply drops the write
-/// guard with the slot still `None`, so a retry recomputes it — no
-/// poisoned state, no unwinding.
-type Cell = Arc<RwLock<Option<f64>>>;
-
 /// Per-worker evaluation state: a scratch model, its reusable minibatch
 /// [`Workspace`] (the batched loss kernels run allocation-free through
 /// it), and the FedAvg aggregate buffer. One per batch worker, one
@@ -174,16 +170,18 @@ impl CellScratch {
     }
 }
 
-/// Fills `slot` exactly once with `compute`'s value, running `compute`
-/// under the cell's write lock (racing evaluators block, then observe
-/// the stored value — never recompute). Returns `Some(value)` when this
-/// call did the computing (callers notify the shared cache on that
-/// edge), `None` when the slot was already filled. When `compute`
-/// reports [`Cancelled`] — the workspace token fired *inside* the
-/// model's minibatch loops — the slot is left `None`: the cell is not
-/// stored, not counted, and a retry recomputes it.
+/// Fills `slot` (`None` until evaluated) exactly once with `compute`'s
+/// value, running `compute` under the cell's write lock (racing
+/// evaluators block, then observe the stored value — never recompute;
+/// reads after initialization take an uncontended read lock). Returns
+/// `Some(value)` when this call did the computing (callers notify the
+/// store on that edge), `None` when the slot was already filled. When
+/// `compute` reports [`Cancelled`] — the workspace token fired *inside*
+/// the model's minibatch loops — the guard drops with the slot still
+/// `None`: the cell is not stored, not counted, and a retry recomputes
+/// it. No poisoned state, no unwinding.
 fn init_cell(
-    slot: &Cell,
+    slot: &CellSlot,
     compute: impl FnOnce() -> Result<f64, Cancelled>,
 ) -> Result<Option<f64>, Cancelled> {
     let mut guard = slot.write();
@@ -193,14 +191,6 @@ fn init_cell(
         return Ok(Some(v));
     }
     Ok(None)
-}
-
-/// An attachment to the process's shared cell-cache tier: the cache
-/// handle plus this oracle's trace fingerprint (the cache-key prefix
-/// every cell of this oracle shares).
-struct SharedCells {
-    cache: Arc<CellCache>,
-    trace: Fingerprint,
 }
 
 /// Evaluates `U_t(S)` against a recorded [`TrainingTrace`].
@@ -213,13 +203,12 @@ pub struct UtilityOracle<'a> {
     scratch: Mutex<CellScratch>,
     /// `ℓ(w_t; D_c)` per round, computed once.
     base_losses: Vec<f64>,
-    /// The result table: one compute-once slot per evaluated cell.
-    /// Unused (kept empty) when [`Self::shared`] routes slots to the
-    /// process-shared cache instead.
-    table: RwLock<HashMap<(usize, Subset), Cell>>,
-    /// Attachment to the shared cell-cache tier; `None` keeps the
-    /// historical private-table behavior bit-for-bit.
-    shared: Option<SharedCells>,
+    /// The cell store: one compute-once slot per cell. A private
+    /// unbounded cache until [`Self::set_shared_cache_keyed`] swaps in a
+    /// shared one.
+    cells: Arc<CellCache>,
+    /// The fingerprint every key of this oracle carries in [`Self::cells`].
+    cells_key: Fingerprint,
     calls: AtomicU64,
     /// Cells served without a loss evaluation (see
     /// [`Self::cell_hits`]).
@@ -237,38 +226,52 @@ pub struct UtilityOracle<'a> {
 }
 
 impl<'a> UtilityOracle<'a> {
-    /// Builds an oracle at the process-default tier
-    /// ([`DeterminismTier::default_tier`]). Evaluates the `T` per-round
-    /// base losses eagerly (they are shared by every utility query in
-    /// the round).
-    pub fn new(trace: &'a TrainingTrace, prototype: &dyn Model, test_data: &'a Dataset) -> Self {
-        let tier = DeterminismTier::default_tier();
-        let mut scratch = CellScratch::new(prototype.clone_model(), tier);
-        let mut calls = 0u64;
-        let base_losses: Vec<f64> = trace
-            .rounds
-            .iter()
-            .map(|r| {
-                scratch.model.set_params(&r.global_params);
-                calls += 1;
-                scratch.model.loss_with(test_data, &mut scratch.ws)
-            })
-            .collect();
+    /// The one constructor body: zeroed counters, the global pool, no
+    /// worker cap, and a private unbounded cell store. Memory-only, so
+    /// it never marks a cell dirty; private to one trace, so a constant
+    /// key fingerprint cannot collide.
+    fn assemble(
+        trace: &'a TrainingTrace,
+        prototype: &dyn Model,
+        test_data: &'a Dataset,
+        base_losses: Vec<f64>,
+        tier: DeterminismTier,
+    ) -> Self {
         UtilityOracle {
             trace,
             test_data,
             prototype: prototype.clone_model(),
-            scratch: Mutex::new(scratch),
+            scratch: Mutex::new(CellScratch::new(prototype.clone_model(), tier)),
             base_losses,
-            table: RwLock::new(HashMap::new()),
-            shared: None,
-            calls: AtomicU64::new(calls),
+            cells: CellCache::in_memory(usize::MAX),
+            cells_key: Fingerprint::from_bits(0),
+            calls: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             disk_warm: 0,
             pool: PoolHandle::Global,
             parallelism: None,
             tier,
         }
+    }
+
+    /// Builds an oracle at the process-default tier
+    /// ([`DeterminismTier::default_tier`]). Evaluates the `T` per-round
+    /// base losses eagerly (they are shared by every utility query in
+    /// the round).
+    pub fn new(trace: &'a TrainingTrace, prototype: &dyn Model, test_data: &'a Dataset) -> Self {
+        let tier = DeterminismTier::default_tier();
+        let mut oracle = Self::assemble(trace, prototype, test_data, Vec::new(), tier);
+        let scratch = oracle.scratch.get_mut();
+        oracle.base_losses = trace
+            .rounds
+            .iter()
+            .map(|r| {
+                scratch.model.set_params(&r.global_params);
+                scratch.model.loss_with(test_data, &mut scratch.ws)
+            })
+            .collect();
+        *oracle.calls.get_mut() = oracle.base_losses.len() as u64;
+        oracle
     }
 
     /// [`Self::new`] with the per-round base losses supplied instead of
@@ -292,21 +295,7 @@ impl<'a> UtilityOracle<'a> {
             "one base loss per round"
         );
         let tier = DeterminismTier::default_tier();
-        UtilityOracle {
-            trace,
-            test_data,
-            prototype: prototype.clone_model(),
-            scratch: Mutex::new(CellScratch::new(prototype.clone_model(), tier)),
-            base_losses,
-            table: RwLock::new(HashMap::new()),
-            shared: None,
-            calls: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            disk_warm: 0,
-            pool: PoolHandle::Global,
-            parallelism: None,
-            tier,
-        }
+        Self::assemble(trace, prototype, test_data, base_losses, tier)
     }
 
     /// Overrides the number of workers a batch may fan out to
@@ -331,14 +320,12 @@ impl<'a> UtilityOracle<'a> {
 
     /// Sets the numeric tier cell evaluations run at (builder style).
     ///
-    /// Call this before querying or batch-evaluating any cells: the
-    /// result table caches values at whatever tier computed them, and
-    /// the per-round base losses are evaluated at construction (at the
-    /// process-default tier). The latter is harmless for cross-tier
-    /// comparisons — every utility is a difference against the *same*
-    /// base loss, so the base-loss tier cancels out of utility deltas —
-    /// but mixed-tier cell caches are not meaningful; use
-    /// [`Self::isolated_with_tier`] for a fresh-cache oracle instead.
+    /// Cell keys carry the tier, so cells computed before the switch are
+    /// never served at the new tier. The per-round base losses keep the
+    /// tier they were evaluated at (the process default, at
+    /// construction); that is harmless for cross-tier comparisons —
+    /// every utility is a difference against the *same* base loss, so
+    /// the base-loss tier cancels out of utility deltas.
     pub fn with_tier(mut self, tier: DeterminismTier) -> Self {
         self.set_tier(tier);
         self
@@ -348,25 +335,23 @@ impl<'a> UtilityOracle<'a> {
     pub fn set_tier(&mut self, tier: DeterminismTier) {
         self.tier = tier;
         self.scratch.lock().ws.set_tier(tier);
-        // The shared cache keys on the tier, so a retiered oracle reads
-        // and writes a disjoint cell namespace — but its disk segments
-        // for the new tier may exist and deserve loading.
-        if let Some(shared) = &self.shared {
-            self.disk_warm += shared.cache.attach(shared.trace, tier.id());
-        }
+        // The store keys on the tier, so a retiered oracle reads and
+        // writes a disjoint cell namespace — but a disk-backed store may
+        // hold segments for the new tier that deserve loading.
+        self.disk_warm += self.cells.attach(self.cells_key, tier.id());
     }
 
     /// Attaches this oracle to the process-shared cell cache (builder
-    /// style): its result slots move from the private table to `cache`,
-    /// keyed by `(trace fingerprint, tier, round, subset)`, so
-    /// concurrent and future oracles over the same trace share every
-    /// completed cell — and, when the cache has a disk directory,
-    /// persisted cells from previous processes are loaded now.
+    /// style): `cache` replaces the oracle's private cell store, keyed
+    /// by `(trace fingerprint, tier, round, subset)`, so concurrent and
+    /// future oracles over the same trace share every completed cell —
+    /// and, when the cache has a disk directory, persisted cells from
+    /// previous processes are loaded now.
     ///
     /// Sharing never changes values: cells are pure functions of the
-    /// fingerprinted inputs, and the compute-once slot discipline is
-    /// identical in both modes. Call before evaluating any cells —
-    /// cells already in the private table are not migrated.
+    /// fingerprinted inputs, and every store runs the same compute-once
+    /// slot discipline. Call before evaluating any cells — cells already
+    /// in the private store are dropped with it, not migrated.
     pub fn with_shared_cache(mut self, cache: Arc<CellCache>) -> Self {
         self.set_shared_cache(cache);
         self
@@ -387,12 +372,8 @@ impl<'a> UtilityOracle<'a> {
     pub fn set_shared_cache_keyed(&mut self, cache: Arc<CellCache>, trace: Fingerprint) {
         debug_assert_eq!(trace, self.fingerprint(), "stale oracle fingerprint");
         self.disk_warm += cache.attach(trace, self.tier.id());
-        self.shared = Some(SharedCells { cache, trace });
-    }
-
-    /// Whether this oracle serves cells from the shared cache tier.
-    pub fn shared_cache_enabled(&self) -> bool {
-        self.shared.is_some()
+        self.cells = cache;
+        self.cells_key = trace;
     }
 
     /// The 128-bit identity of everything a cell value depends on:
@@ -446,7 +427,7 @@ impl<'a> UtilityOracle<'a> {
 
     /// A fresh-cache clone of this oracle over the same trace, model
     /// architecture, and test set: the per-round base losses are copied
-    /// (not recounted), the result table starts empty, and the call
+    /// (not recounted), the cell store starts empty, and the call
     /// counter starts at zero. Used by
     /// `ValuationSession`'s isolated-runs mode so every method pays —
     /// and reports — its full evaluation cost instead of drafting behind
@@ -456,28 +437,22 @@ impl<'a> UtilityOracle<'a> {
     }
 
     /// [`Self::isolated`] with the clone's cell evaluations pinned to
-    /// `tier` — the fresh result table never mixes tiers. The copied
-    /// base losses keep their original values (see [`Self::with_tier`]
-    /// for why that cancels out of utility comparisons). Isolation also
-    /// drops any shared-cache attachment: an isolated oracle exists to
-    /// measure a method's full standalone cost, which drafting behind
-    /// the shared tier would hide.
+    /// `tier`. The copied base losses keep their original values (see
+    /// [`Self::with_tier`] for why that cancels out of utility
+    /// comparisons). Isolation also drops any shared-cache attachment:
+    /// an isolated oracle exists to measure a method's full standalone
+    /// cost, which drafting behind the shared store would hide.
     pub fn isolated_with_tier(&self, tier: DeterminismTier) -> UtilityOracle<'a> {
-        UtilityOracle {
-            trace: self.trace,
-            test_data: self.test_data,
-            prototype: self.prototype.clone_model(),
-            scratch: Mutex::new(CellScratch::new(self.prototype.clone_model(), tier)),
-            base_losses: self.base_losses.clone(),
-            table: RwLock::new(HashMap::new()),
-            shared: None,
-            calls: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            disk_warm: 0,
-            pool: self.pool.clone(),
-            parallelism: self.parallelism,
+        let mut oracle = Self::assemble(
+            self.trace,
+            self.prototype.as_ref(),
+            self.test_data,
+            self.base_losses.clone(),
             tier,
-        }
+        );
+        oracle.pool = self.pool.clone();
+        oracle.parallelism = self.parallelism;
+        oracle
     }
 
     /// The trace this oracle reads.
@@ -515,11 +490,13 @@ impl<'a> UtilityOracle<'a> {
     }
 
     /// Planned cells served from an already-completed slot without a
-    /// loss evaluation — the cache's contribution, counted when a batch
-    /// plan filters out resident cells (both private-table and
-    /// shared-cache modes). Repeat *reads* of a cell the same caller
-    /// already paid for are not hits; this counts work avoided, not
-    /// lookups made.
+    /// loss evaluation — the cell store's contribution: cells a batch
+    /// plan finds resident, and cells another evaluator filled while
+    /// this one waited on the slot (so under any concurrency, each plan
+    /// evaluated to completion adds exactly its length to calls plus
+    /// hits).
+    /// Repeat *reads* of a cell the same caller already paid for are not
+    /// hits; this counts work avoided, not lookups made.
     pub fn cell_hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -537,60 +514,38 @@ impl<'a> UtilityOracle<'a> {
         self.hits.store(0, Ordering::Relaxed);
     }
 
-    /// The shared-cache key for a cell of this oracle.
-    fn cell_key(&self, shared: &SharedCells, cell: (usize, Subset)) -> CellKey {
+    /// The store key for a cell of this oracle.
+    fn cell_key(&self, (round, subset): (usize, Subset)) -> CellKey {
         CellKey {
-            trace: shared.trace,
+            trace: self.cells_key,
             tier: self.tier.id(),
-            round: cell.0 as u32,
-            subset: cell.1.bits(),
+            round: round as u32,
+            subset: subset.bits(),
         }
     }
 
-    /// The compute-once slot for a cell, creating it if needed — in the
-    /// shared cache when attached, in the private table otherwise.
-    fn slot(&self, cell: (usize, Subset)) -> Cell {
-        if let Some(shared) = &self.shared {
-            let (slot, _) = shared.cache.slot(self.cell_key(shared, cell));
-            return slot;
-        }
-        if let Some(slot) = self.table.read().get(&cell) {
-            return Arc::clone(slot);
-        }
-        Arc::clone(self.table.write().entry(cell).or_default())
+    /// The compute-once slot for a cell, reserving it if needed.
+    fn slot(&self, cell: (usize, Subset)) -> CellSlot {
+        self.cells.slot(self.cell_key(cell)).0
     }
 
-    /// Tells the shared cache a cell now holds `value` (making it a
-    /// spillable resident). No-op in private-table mode. Callers must
-    /// not hold the cell's lock: the cache may evict (and read) other
-    /// unpinned slots under its own mutex.
+    /// Tells the store a cell now holds `value` (making it an evictable
+    /// resident). Callers must not hold the cell's lock: the store may
+    /// evict (and read) other unpinned slots under its own mutex.
     fn note_complete(&self, cell: (usize, Subset), value: f64) {
-        if let Some(shared) = &self.shared {
-            shared.cache.complete(self.cell_key(shared, cell), value);
-        }
+        self.cells.complete(self.cell_key(cell), value);
     }
 
     /// Evaluates one cell on the given scratch state: FedAvg aggregate
     /// into the reusable buffer, batched loss through the reusable
-    /// workspace. Counted on completion.
-    fn compute_cell(&self, scratch: &mut CellScratch, t: usize, s: Subset) -> f64 {
-        let found = self.trace.aggregate_into(t, s, &mut scratch.aggregate);
-        assert!(found, "non-empty subset aggregates");
-        scratch.model.set_params(&scratch.aggregate);
-        let loss = scratch.model.loss_with(self.test_data, &mut scratch.ws);
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.base_losses[t] - loss
-    }
-
-    /// [`compute_cell`](Self::compute_cell) observing `cancel` *inside*
-    /// the model's minibatch loss loops (between minibatch chunks). An
+    /// workspace, observing `cancel` *inside* the model's minibatch loss
+    /// loops (between minibatch chunks). Counted on completion; an
     /// abandoned evaluation is not counted — the cell is simply left
     /// uncomputed for a retry.
-    fn try_compute_cell(
+    fn compute_cell(
         &self,
         scratch: &mut CellScratch,
-        t: usize,
-        s: Subset,
+        (t, s): (usize, Subset),
         cancel: &CancelToken,
     ) -> Result<f64, Cancelled> {
         let found = self.trace.aggregate_into(t, s, &mut scratch.aggregate);
@@ -604,7 +559,36 @@ impl<'a> UtilityOracle<'a> {
         Ok(self.base_losses[t] - loss)
     }
 
-    /// Evaluates every planned cell that is not yet in the result table,
+    /// Fills `pending`'s slots in order on the shared scratch state: the
+    /// one-worker batch path and the single-cell miss of
+    /// [`Self::utility`]. Lock order lives here: the cell's write lock
+    /// first, the scratch mutex inside it — so a caller holding a slot
+    /// while waiting for the scratch never deadlocks against one holding
+    /// the scratch while waiting on that slot. A slot another evaluator
+    /// filled meanwhile counts as a hit.
+    fn evaluate_inline(
+        &self,
+        pending: &[((usize, Subset), CellSlot)],
+        cancel: &CancelToken,
+    ) -> Result<(), Cancelled> {
+        for (cell, slot) in pending {
+            cancel.check()?;
+            let computed = init_cell(slot, || {
+                self.compute_cell(&mut self.scratch.lock(), *cell, cancel)
+            })?;
+            match computed {
+                Some(v) => self.note_complete(*cell, v),
+                None => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        // Trailing check mirrors the pooled path: cancellation during
+        // the final cell reports Cancelled regardless of pool size.
+        cancel.check()
+    }
+
+    /// Evaluates every planned cell that is not yet in the cell store,
     /// in parallel across at most [`Self::parallelism`] chunks submitted
     /// to the configured pool, with per-chunk scratch models. Each cell
     /// is evaluated exactly once even when plans overlap or other
@@ -618,7 +602,7 @@ impl<'a> UtilityOracle<'a> {
     /// [`Self::evaluate_plan`] with cooperative cancellation: `cancel`
     /// is observed at cell boundaries, and once set the not-yet-started
     /// remainder of the batch is abandoned and `Err(Cancelled)` is
-    /// returned. Cells evaluated before the cut stay in the table (they
+    /// returned. Cells evaluated before the cut stay in the store (they
     /// are correct and already stored), so a retry resumes where the
     /// cancelled batch stopped.
     pub fn try_evaluate_plan(
@@ -628,7 +612,7 @@ impl<'a> UtilityOracle<'a> {
     ) -> Result<(), Cancelled> {
         cancel.check()?;
         let mut hits = 0u64;
-        let mut pending: Vec<((usize, Subset), Cell)> = Vec::new();
+        let mut pending: Vec<((usize, Subset), CellSlot)> = Vec::new();
         for &cell in plan.cells() {
             assert!(cell.0 < self.trace.num_rounds(), "round out of range");
             let slot = self.slot(cell);
@@ -658,36 +642,22 @@ impl<'a> UtilityOracle<'a> {
             .min(pending.len() / MIN_CELLS_PER_WORKER)
             .max(1);
         if workers == 1 {
-            // Lock order must match `utility()` — slot first, scratch
-            // inside the init closure — or a concurrent single-cell call
-            // holding a slot while waiting for the scratch mutex would
-            // deadlock against us holding scratch while waiting on the slot.
-            for ((t, s), slot) in &pending {
-                cancel.check()?;
-                let computed = init_cell(slot, || {
-                    let mut scratch = self.scratch.lock();
-                    self.try_compute_cell(&mut scratch, *t, *s, cancel)
-                })?;
-                if let Some(v) = computed {
-                    self.note_complete((*t, *s), v);
-                }
-            }
-            // Trailing check mirrors the pooled path: cancellation during
-            // the final cell reports Cancelled regardless of pool size.
-            return cancel.check();
+            return self.evaluate_inline(&pending, cancel);
         }
         self.pool.get().for_each_init(
             pending,
             workers,
             || CellScratch::new(self.prototype.clone_model(), self.tier),
-            |scratch, ((t, s), slot)| {
+            |scratch, (cell, slot)| {
                 // A mid-cell cancellation leaves the slot unset; the
                 // pool observes the shared token at the next item
                 // boundary and reports Cancelled for the whole batch.
-                if let Ok(Some(v)) =
-                    init_cell(&slot, || self.try_compute_cell(scratch, t, s, cancel))
-                {
-                    self.note_complete((t, s), v);
+                match init_cell(&slot, || self.compute_cell(scratch, cell, cancel)) {
+                    Ok(Some(v)) => self.note_complete(cell, v),
+                    Ok(None) => {
+                        self.hits.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Err(Cancelled) => {}
                 }
             },
             Some(cancel),
@@ -697,9 +667,10 @@ impl<'a> UtilityOracle<'a> {
     /// The round utility `U_t(S)`. Empty coalitions produce no model, so
     /// `U_t(∅) = 0` by convention (no contribution, no utility).
     ///
-    /// A thin shim over the result table: planned-and-evaluated cells
-    /// cost one uncontended read lock; anything else is evaluated
-    /// serially on the shared scratch model and stored.
+    /// A thin shim over the cell store: planned-and-evaluated cells
+    /// cost one store lookup and an uncontended read lock; anything else
+    /// is evaluated as a one-cell batch on the shared scratch model and
+    /// stored.
     pub fn utility(&self, t: usize, s: Subset) -> f64 {
         assert!(t < self.trace.num_rounds(), "round out of range");
         if s.is_empty() {
@@ -709,22 +680,11 @@ impl<'a> UtilityOracle<'a> {
         if let Some(v) = *slot.read() {
             return v;
         }
-        // Lock order: cell write lock first, scratch mutex inside — the
-        // same order the batch paths use, so they never deadlock.
-        let mut guard = slot.write();
-        if let Some(v) = *guard {
-            return v;
-        }
-        let v = {
-            let mut scratch = self.scratch.lock();
-            self.compute_cell(&mut scratch, t, s)
-        };
-        *guard = Some(v);
-        // The cache completion runs after the cell lock is released
-        // (the cache must never see us holding a slot it manages).
-        drop(guard);
-        self.note_complete((t, s), v);
-        v
+        let pending = [((t, s), slot)];
+        self.evaluate_inline(&pending, &CancelToken::new())
+            .expect("fresh token is never cancelled");
+        let v = *pending[0].1.read();
+        v.expect("an evaluated cell holds its value")
     }
 
     /// Marginal contribution `U_t(S ∪ {i}) − U_t(S)`.
@@ -734,19 +694,10 @@ impl<'a> UtilityOracle<'a> {
     }
 
     /// Total utility over all rounds `U(S) = Σ_t U_t(S)` — the whole-run
-    /// utility function of Theorem 1. Reads cells serially; see
-    /// [`Self::total_utility_parallel`] for the batched variant.
+    /// utility function of Theorem 1. Reads cells serially; evaluate an
+    /// [`EvalPlan::add_column`] plan first to batch the missing ones.
     pub fn total_utility(&self, s: Subset) -> f64 {
         (0..self.num_rounds()).map(|t| self.utility(t, s)).sum()
-    }
-
-    /// [`Self::total_utility`] with the column's missing cells evaluated
-    /// as one parallel batch first. Bit-identical to the serial variant.
-    pub fn total_utility_parallel(&self, s: Subset) -> f64 {
-        let mut plan = EvalPlan::new();
-        plan.add_column(self.num_rounds(), s);
-        self.evaluate_plan(&plan);
-        self.total_utility(s)
     }
 }
 
@@ -964,9 +915,33 @@ mod tests {
         assert_eq!(
             oracle.loss_evaluations(),
             before,
-            "column reads must all hit the table"
+            "column reads must all hit the store"
         );
-        assert_eq!(total, oracle.total_utility_parallel(s));
+        let columns: f64 = plan
+            .cells()
+            .iter()
+            .map(|&(t, s)| oracle.utility(t, s))
+            .sum();
+        assert_eq!(total.to_bits(), columns.to_bits());
+    }
+
+    #[test]
+    fn retiered_oracle_recomputes_cells_at_the_new_tier() {
+        let (trace, proto, test) = setup();
+        let s = Subset::from_indices(&[0, 2]);
+        let mut oracle =
+            UtilityOracle::new(&trace, &proto, &test).with_tier(DeterminismTier::BitExact);
+        oracle.utility(1, s);
+        oracle.set_tier(DeterminismTier::Fast);
+        let before = oracle.loss_evaluations();
+        let retiered = oracle.utility(1, s);
+        assert_eq!(
+            oracle.loss_evaluations(),
+            before + 1,
+            "a BitExact cell must not be served at the Fast tier"
+        );
+        let fresh = UtilityOracle::new(&trace, &proto, &test).with_tier(DeterminismTier::Fast);
+        assert_eq!(retiered.to_bits(), fresh.utility(1, s).to_bits());
     }
 
     #[test]
@@ -1151,19 +1126,5 @@ mod tests {
         let trace2 = train_federated(&proto, &clients, &FlConfig::new(3, 2, 0.2, 1));
         let d = UtilityOracle::new(&trace2, &proto, &test);
         assert_ne!(a.fingerprint(), d.fingerprint());
-    }
-
-    #[test]
-    fn total_utility_parallel_matches_serial_bits() {
-        let (trace, proto, test) = setup();
-        let a = UtilityOracle::new(&trace, &proto, &test).with_parallelism(1);
-        let b = UtilityOracle::new(&trace, &proto, &test).with_parallelism(8);
-        for bits in 1u64..16 {
-            let s = Subset::from_bits(bits);
-            assert_eq!(
-                a.total_utility(s).to_bits(),
-                b.total_utility_parallel(s).to_bits()
-            );
-        }
     }
 }

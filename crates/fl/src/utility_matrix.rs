@@ -1,30 +1,18 @@
 //! Materializing the utility matrix.
 //!
 //! The paper's matrix `U ∈ R^{T × 2^N}` holds `U_t(S)` for every round and
-//! every coalition. Two views are needed:
-//!
-//! * [`full_utility_matrix`] — the complete matrix (only feasible for small
-//!   `N`; used for the ground-truth metric, the Fig.-2 singular-value study
-//!   and the Fig.-3 rank sweep);
-//! * [`observed_entries`] — the entries a real deployment observes,
-//!   `{(t, S) : S ⊆ I_t}`, which feed the matrix-completion problem (9).
+//! every coalition. [`full_utility_matrix`] builds the complete matrix
+//! (only feasible for small `N`; used for the ground-truth metric, the
+//! Fig.-2 singular-value study and the Fig.-3 rank sweep). The entries a
+//! real deployment observes, `{(t, S) : S ⊆ I_t}`, feed the
+//! matrix-completion problem (9); the ComFedSV pipeline in
+//! `fedval_shapley` plans them as one batch per run.
 
 use crate::error::OracleError;
 use crate::subset::Subset;
 use crate::utility::{EvalPlan, UtilityOracle};
 use crate::MAX_EXACT_CLIENTS;
 use fedval_linalg::Matrix;
-
-/// One observed utility-matrix entry.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ObservedEntry {
-    /// Round index `t` (row).
-    pub round: usize,
-    /// Coalition `S` (column key).
-    pub subset: Subset,
-    /// `U_t(S)`.
-    pub value: f64,
-}
 
 /// Builds the full `T × 2^N` utility matrix. Column `j` corresponds to the
 /// subset with bitmask `j` (column 0, the empty coalition, is all zeros).
@@ -75,42 +63,6 @@ pub fn try_full_utility_matrix(oracle: &UtilityOracle<'_>) -> Result<Matrix, Ora
         }
     }
     Ok(m)
-}
-
-/// Collects every observed entry `{(t, S) : S ⊆ I_t, S ≠ ∅}` — the
-/// training process evaluates utilities only for coalitions inside the
-/// selected set of the round.
-pub fn observed_entries(oracle: &UtilityOracle<'_>) -> Vec<ObservedEntry> {
-    let t = oracle.num_rounds();
-    let mut plan = EvalPlan::new();
-    for round in 0..t {
-        plan.add_subsets_of(round, oracle.trace().selected(round));
-    }
-    oracle.evaluate_plan(&plan);
-    plan.cells()
-        .iter()
-        .map(|&(round, subset)| ObservedEntry {
-            round,
-            subset,
-            value: oracle.utility(round, subset),
-        })
-        .collect()
-}
-
-/// The observation mask as `(row, column-bitmask)` pairs for a given trace —
-/// useful to tests and to the completion diagnostics.
-pub fn observed_mask(oracle: &UtilityOracle<'_>) -> Vec<(usize, u64)> {
-    let t = oracle.num_rounds();
-    let mut out = Vec::new();
-    for round in 0..t {
-        let selected = oracle.trace().selected(round);
-        for s in selected.subsets() {
-            if !s.is_empty() {
-                out.push((round, s.bits()));
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -167,39 +119,6 @@ mod tests {
                     oracle.utility(t, Subset::from_bits(bits))
                 );
             }
-        }
-    }
-
-    #[test]
-    fn observed_entries_are_subsets_of_selected() {
-        let (trace, proto, test) = setup(5, 6, 2);
-        let oracle = UtilityOracle::new(&trace, &proto, &test);
-        let obs = observed_entries(&oracle);
-        assert!(!obs.is_empty());
-        for e in &obs {
-            assert!(e.subset.is_subset_of(trace.selected(e.round)));
-            assert!(!e.subset.is_empty());
-        }
-    }
-
-    #[test]
-    fn observed_count_matches_formula() {
-        // Round 0 selects all 5 clients (2^5 - 1 = 31 non-empty subsets);
-        // later rounds select 2 (3 non-empty subsets each).
-        let (trace, proto, test) = setup(5, 4, 2);
-        let oracle = UtilityOracle::new(&trace, &proto, &test);
-        let obs = observed_entries(&oracle);
-        assert_eq!(obs.len(), 31 + 3 * 3);
-        assert_eq!(observed_mask(&oracle).len(), obs.len());
-    }
-
-    #[test]
-    fn observed_values_agree_with_full_matrix() {
-        let (trace, proto, test) = setup(4, 3, 2);
-        let oracle = UtilityOracle::new(&trace, &proto, &test);
-        let full = full_utility_matrix(&oracle);
-        for e in observed_entries(&oracle) {
-            assert_eq!(e.value, full.get(e.round, e.subset.bits() as usize));
         }
     }
 

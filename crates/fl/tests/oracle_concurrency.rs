@@ -9,18 +9,23 @@
 //!    run with the same seed.
 //! 3. **Cancellation**: a cancelled batch stops at a cell boundary,
 //!    reports [`Cancelled`], and leaves already-evaluated cells valid.
+//! 4. **Accounting**: every evaluated plan adds exactly its length to
+//!    `loss_evaluations() + cell_hits()`, even when another oracle on a
+//!    shared cell cache fills some of its cells mid-batch.
 //!
 //! (The `std::thread::scope` uses below are the *test harness* hammering
 //! the oracle from many threads; the oracle itself routes all batch
 //! parallelism through `fedval_runtime::Pool`.)
 
+use fedval_cache::{CellCache, DEFAULT_MEM_BUDGET_BYTES};
 use fedval_data::Dataset;
 use fedval_fl::{train_federated, EvalPlan, FlConfig, Subset, UtilityOracle};
 use fedval_linalg::Matrix;
 use fedval_models::{LogisticRegression, Model};
 use fedval_runtime::{CancelToken, Cancelled, Pool, PoolHandle};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 /// Test double: a model that cancels a [`CancelToken`] from inside its
 /// own `loss()` after a fixed number of evaluations (counted across all
@@ -62,6 +67,42 @@ impl Model for CancellingModel {
             calls: Arc::clone(&self.calls),
             trigger: self.trigger,
             token: self.token.clone(),
+        })
+    }
+}
+
+/// Test double: a model whose every loss evaluation takes a while, so
+/// two evaluators started together are still racing for the same cells
+/// when the first of them finishes one.
+struct SlowModel {
+    inner: LogisticRegression,
+}
+
+impl Model for SlowModel {
+    fn params(&self) -> &[f64] {
+        self.inner.params()
+    }
+
+    fn params_mut(&mut self) -> &mut [f64] {
+        self.inner.params_mut()
+    }
+
+    fn loss(&self, data: &Dataset) -> f64 {
+        std::thread::sleep(Duration::from_millis(2));
+        self.inner.loss(data)
+    }
+
+    fn grad(&self, data: &Dataset, out: &mut [f64]) -> f64 {
+        self.inner.grad(data, out)
+    }
+
+    fn predict(&self, x: &[f64]) -> usize {
+        self.inner.predict(x)
+    }
+
+    fn clone_model(&self) -> Box<dyn Model> {
+        Box::new(SlowModel {
+            inner: self.inner.clone(),
         })
     }
 }
@@ -182,7 +223,10 @@ fn concurrent_column_prefetches_share_the_table() {
             let oracle = &oracle;
             scope.spawn(move || {
                 for &s in chunk {
-                    let a = oracle.total_utility_parallel(s);
+                    let mut column = EvalPlan::new();
+                    column.add_column(5, s);
+                    oracle.evaluate_plan(&column);
+                    let a = oracle.total_utility(s);
                     let b = oracle.total_utility(s);
                     assert_eq!(a.to_bits(), b.to_bits());
                 }
@@ -299,5 +343,63 @@ fn isolated_oracle_starts_with_an_empty_cache() {
     // Base losses were copied, not recounted.
     for t in 0..3 {
         assert_eq!(oracle.base_loss(t).to_bits(), iso.base_loss(t).to_bits());
+    }
+}
+
+#[test]
+fn racing_oracles_on_one_cache_account_for_every_planned_cell() {
+    let (trace, proto, test) = world(4, 3, 3);
+    let plan = full_plan(4, 3);
+    let planned = plan.len() as u64;
+    let slow = SlowModel {
+        inner: proto.clone(),
+    };
+    let reference = UtilityOracle::new(&trace, &proto, &test);
+    // Width 1 fills the plan on the inline path, width 4 in pool chunks.
+    for width in [1usize, 4] {
+        let cache = CellCache::in_memory(DEFAULT_MEM_BUDGET_BYTES);
+        let oracles: Vec<UtilityOracle<'_>> = (0..2)
+            .map(|_| {
+                let mut oracle = UtilityOracle::new(&trace, &slow, &test)
+                    .with_pool(PoolHandle::owned(Pool::new(width)))
+                    .with_parallelism(width);
+                oracle.set_shared_cache(Arc::clone(&cache));
+                oracle.reset_counter();
+                oracle
+            })
+            .collect();
+        // Both oracles classify every cell as pending before either has
+        // finished one, then fill the plan in the same order: each cell
+        // is computed by one of them while the other waits on its slot.
+        let start = Barrier::new(2);
+        std::thread::scope(|scope| {
+            for oracle in &oracles {
+                let (start, plan) = (&start, &plan);
+                scope.spawn(move || {
+                    start.wait();
+                    oracle.evaluate_plan(plan);
+                });
+            }
+        });
+        for oracle in &oracles {
+            assert_eq!(
+                oracle.loss_evaluations() + oracle.cell_hits(),
+                planned,
+                "width {width}: calls {} + hits {} must cover the plan",
+                oracle.loss_evaluations(),
+                oracle.cell_hits()
+            );
+        }
+        assert_eq!(
+            oracles.iter().map(|o| o.loss_evaluations()).sum::<u64>(),
+            planned,
+            "width {width}: each shared cell is evaluated exactly once"
+        );
+        for &(t, s) in plan.cells() {
+            let expect = reference.utility(t, s).to_bits();
+            for oracle in &oracles {
+                assert_eq!(oracle.utility(t, s).to_bits(), expect);
+            }
+        }
     }
 }

@@ -292,13 +292,6 @@ impl Matrix {
         })
     }
 
-    /// Scales every entry in place.
-    pub fn scale_in_place(&mut self, s: f64) {
-        for v in &mut self.data {
-            *v *= s;
-        }
-    }
-
     /// Frobenius norm `sqrt(Σ a_ij²)`.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
@@ -497,12 +490,5 @@ mod tests {
     fn col_extracts_column() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         assert_eq!(m.col(1), vec![2.0, 4.0]);
-    }
-
-    #[test]
-    fn scale_in_place_scales_every_entry() {
-        let mut m = Matrix::filled(2, 3, 2.0);
-        m.scale_in_place(0.5);
-        assert!(m.as_slice().iter().all(|&v| v == 1.0));
     }
 }

@@ -1,6 +1,6 @@
 //! The pluggable completion-solver interface.
 //!
-//! Every factorization solver in this crate (ALS, CCD++, SGD) minimizes
+//! Every factorization solver in this crate (ALS, CCD++) minimizes
 //! the same objective (9)/(13) over the same sparse
 //! [`CompletionProblem`], so the valuation layer above should not care
 //! which one runs. [`MatrixCompleter`] is the object-safe contract they
@@ -9,13 +9,12 @@
 //! [`CompletionError`] — never panic. Consumers hold a
 //! `Box<dyn MatrixCompleter>` and stay solver-agnostic.
 //!
-//! The solver *configuration types* are the completers: [`AlsConfig`],
-//! [`CcdConfig`], and [`SgdConfig`] each implement the trait, so a config
-//! value doubles as a solver object.
+//! The solver *configuration types* are the completers: [`AlsConfig`]
+//! and [`CcdConfig`] each implement the trait, so a config value doubles
+//! as a solver object.
 //!
 //! [`AlsConfig`]: crate::als::AlsConfig
 //! [`CcdConfig`]: crate::ccd::CcdConfig
-//! [`SgdConfig`]: crate::sgd::SgdConfig
 
 use crate::factors::Factors;
 use crate::problem::CompletionProblem;
@@ -28,8 +27,7 @@ pub enum CompletionError {
     /// The factor rank was zero (every solver needs `r ≥ 1`).
     InvalidRank,
     /// The regularization weight is outside the solver's admissible range
-    /// (ALS and CCD++ need `λ > 0` for well-posed ridge sub-problems; SGD
-    /// accepts `λ ≥ 0`).
+    /// (ALS and CCD++ need `λ > 0` for well-posed ridge sub-problems).
     InvalidLambda {
         /// The rejected value.
         lambda: f64,
@@ -136,7 +134,7 @@ pub struct Completion {
 /// instead of panicking, so a `Box<dyn MatrixCompleter>` can be driven by
 /// user-supplied settings safely.
 pub trait MatrixCompleter: Send + Sync {
-    /// Short lowercase solver name ("als", "ccd", "sgd", …).
+    /// Short lowercase solver name ("als", "ccd", …).
     fn name(&self) -> &'static str;
 
     /// Solves `problem`, returning factors and the objective trajectory.
@@ -175,7 +173,6 @@ mod tests {
     use super::*;
     use crate::als::AlsConfig;
     use crate::ccd::CcdConfig;
-    use crate::sgd::SgdConfig;
 
     fn tiny_problem() -> CompletionProblem {
         let mut p = CompletionProblem::new(3);
@@ -188,11 +185,8 @@ mod tests {
     #[test]
     fn all_solvers_run_behind_the_trait() {
         let p = tiny_problem();
-        let solvers: Vec<Box<dyn MatrixCompleter>> = vec![
-            Box::new(AlsConfig::new(2)),
-            Box::new(CcdConfig::new(2)),
-            Box::new(SgdConfig::new(2).with_epochs(20)),
-        ];
+        let solvers: Vec<Box<dyn MatrixCompleter>> =
+            vec![Box::new(AlsConfig::new(2)), Box::new(CcdConfig::new(2))];
         for s in solvers {
             let c = s.complete(&p).unwrap();
             assert_eq!(c.factors.rank(), 2, "{}", s.name());
@@ -206,7 +200,6 @@ mod tests {
         for s in [
             &AlsConfig::new(0) as &dyn MatrixCompleter,
             &CcdConfig::new(0),
-            &SgdConfig::new(0),
         ] {
             assert!(
                 matches!(s.complete(&p), Err(CompletionError::InvalidRank)),
@@ -217,18 +210,16 @@ mod tests {
     }
 
     #[test]
-    fn divergent_sgd_is_reported_not_panicked() {
-        // An absurd learning rate makes SGD blow up to infinity.
+    fn divergent_solve_is_reported_not_panicked() {
+        // Observations whose squares overflow make the objective infinite.
         let mut p = CompletionProblem::new(4);
         for i in 0..4u64 {
             for j in 0..4u64 {
-                p.add_observation(i as usize, j, 10.0);
+                p.add_observation(i as usize, j, 1e300);
             }
         }
-        let mut cfg = SgdConfig::new(3).with_epochs(200);
-        cfg.learning_rate = 1e6;
-        match cfg.complete(&p) {
-            Err(CompletionError::SolverDiverged { solver: "sgd", .. }) => {}
+        match CcdConfig::new(3).complete(&p) {
+            Err(CompletionError::SolverDiverged { solver: "ccd", .. }) => {}
             other => panic!("expected divergence, got {other:?}"),
         }
     }
@@ -259,7 +250,6 @@ mod tests {
         for s in [
             &AlsConfig::new(2) as &dyn MatrixCompleter,
             &CcdConfig::new(2),
-            &SgdConfig::new(2),
         ] {
             assert_eq!(
                 s.complete_with(&p, SolveHooks::new().with_cancel(&token))
@@ -270,7 +260,7 @@ mod tests {
             );
         }
         // Cancelling from the sweep observer stops at the next boundary
-        // (SGD runs a fixed epoch budget, so the cut point is exact).
+        // (a zero tolerance keeps ALS sweeping, so the cut point is exact).
         let token = CancelToken::new();
         let mut seen = 0usize;
         let mut observer = |_: usize, _: f64| {
@@ -282,7 +272,12 @@ mod tests {
         let hooks = SolveHooks::new()
             .with_on_sweep(&mut observer)
             .with_cancel(&token);
-        let err = SgdConfig::new(2).with_epochs(10).complete_with(&p, hooks);
+        let cfg = AlsConfig {
+            max_iters: 10,
+            tol: 0.0,
+            ..AlsConfig::new(2)
+        };
+        let err = cfg.complete_with(&p, hooks);
         assert_eq!(err.unwrap_err(), CompletionError::Cancelled);
         assert_eq!(seen, 2, "solve stopped within one epoch of cancellation");
     }
@@ -292,9 +287,9 @@ mod tests {
         let e = CompletionError::InvalidLambda { lambda: -1.0 };
         assert!(e.to_string().contains("-1"));
         let e = CompletionError::SolverDiverged {
-            solver: "sgd",
+            solver: "ccd",
             sweep: 3,
         };
-        assert!(e.to_string().contains("sgd"));
+        assert!(e.to_string().contains("ccd"));
     }
 }

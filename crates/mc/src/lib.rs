@@ -10,11 +10,11 @@
 //!
 //! The paper uses LIBPMF (CCD++); this crate provides that algorithm
 //! ([`ccd`]) plus a deterministic ALS solver (the default — same
-//! objective, same fixed points) and an SGD solver for cross-checking,
-//! all over a shared sparse [`CompletionProblem`] representation whose
-//! columns are keyed by subset bitmasks.
+//! objective, same fixed points), both over a shared sparse
+//! [`CompletionProblem`] representation whose columns are keyed by
+//! subset bitmasks.
 //!
-//! All three solvers are driven through the object-safe
+//! Both solvers are driven through the object-safe
 //! [`MatrixCompleter`] trait (implemented by their config types), which
 //! validates inputs and returns typed [`CompletionError`]s instead of
 //! panicking — the valuation layer above holds a
@@ -24,7 +24,6 @@
 //! * [`completer`] — the [`MatrixCompleter`] trait and its error type.
 //! * [`als`] — alternating least squares via ridge sub-solves.
 //! * [`ccd`] — CCD++ cyclic coordinate descent (the LIBPMF algorithm).
-//! * [`sgd`] — stochastic gradient solver.
 //! * [`factors`] — the `(W, H)` output pair and prediction helpers.
 
 // Index-driven loops are deliberate in the numeric kernels: the loop
@@ -38,11 +37,9 @@ pub mod completer;
 pub mod factors;
 mod parallel;
 pub mod problem;
-pub mod sgd;
 
 pub use als::AlsConfig;
 pub use ccd::CcdConfig;
 pub use completer::{Completion, CompletionError, MatrixCompleter, SolveHooks};
 pub use factors::Factors;
 pub use problem::CompletionProblem;
-pub use sgd::{SgdConfig, StepSchedule};

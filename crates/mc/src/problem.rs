@@ -116,12 +116,6 @@ impl CompletionProblem {
         &self.col_adj[col]
     }
 
-    /// Fraction of the `num_rows × num_cols` grid that is observed.
-    pub fn density(&self) -> f64 {
-        let total = self.num_rows * self.num_cols().max(1);
-        self.entries.len() as f64 / total as f64
-    }
-
     /// `true` when every registered column has at least one observation —
     /// the practical form of the paper's Assumption 1 (a never-observed
     /// column cannot be recovered, only regularized to zero).
@@ -182,15 +176,6 @@ mod tests {
         assert!(!p.every_column_observed());
         p.add_observation(0, 42, 1.0);
         assert!(p.every_column_observed());
-    }
-
-    #[test]
-    fn density_computation() {
-        let mut p = CompletionProblem::new(2);
-        p.add_observation(0, 1, 1.0);
-        p.add_observation(1, 2, 1.0);
-        // 2 entries of a 2x2 grid.
-        assert!((p.density() - 0.5).abs() < 1e-15);
     }
 
     #[test]

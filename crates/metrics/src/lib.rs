@@ -24,9 +24,9 @@ pub mod stats;
 pub use detection::{detection_auc, precision_at_k, DetectionError};
 pub use ecdf::Ecdf;
 pub use jaccard::jaccard_index;
-pub use ranking::{bottom_k_indices, ranks_average_ties, top_k_indices};
+pub use ranking::{bottom_k_indices, ranks_average_ties};
 pub use spearman::spearman_rho;
-pub use stats::{mean, median, std_dev};
+pub use stats::{mean, median};
 
 /// Relative difference between two valuations (paper equation (7)):
 /// `d_{i,j} = |s_i − s_j| / max{s_i, s_j}`.

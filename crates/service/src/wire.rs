@@ -6,7 +6,7 @@
 //! dependency and its output style (compact rows, `": "` separators)
 //! matches the committed `BENCH_*.json` artifacts.
 
-use crate::job::{Job, JobSpec, JobStatus};
+use crate::job::{Job, JobSpec};
 use fedval_cache::CacheStats;
 use fedval_jsonio::{escaped, scan_num, scan_str, JsonWriter};
 use fedval_linalg::DeterminismTier;
@@ -235,18 +235,6 @@ pub fn render_health(
     w.end_array();
     w.end_object();
     w.finish_inline()
-}
-
-/// Maps a terminal [`JobStatus`] to a human summary line streamed as
-/// the final event marker (informational only; the log's own terminal
-/// event carries the machine-readable stage).
-pub fn terminal_note(status: JobStatus) -> &'static str {
-    match status {
-        JobStatus::Done => "job finished",
-        JobStatus::Cancelled => "job cancelled",
-        JobStatus::Failed => "job failed",
-        _ => "job still running",
-    }
 }
 
 #[cfg(test)]

@@ -109,30 +109,6 @@ pub fn comfedsv_monte_carlo(
     out
 }
 
-/// Antithetic-pairs variant of the Monte-Carlo estimator: every sampled
-/// permutation is evaluated together with its reversal. Forward and
-/// reversed walks see complementary prefix sizes (`|S|` and `N−1−|S|`),
-/// which cancels much of the position-dependent variance of plain
-/// permutation sampling at identical cost per pair — a standard
-/// variance-reduction extension beyond the paper's Algorithm 1.
-pub fn comfedsv_antithetic(
-    factors: &Factors,
-    problem: &CompletionProblem,
-    n: usize,
-    permutations: &[Vec<usize>],
-) -> Vec<f64> {
-    assert!(!permutations.is_empty(), "need at least one permutation");
-    let mirrored: Vec<Vec<usize>> = permutations
-        .iter()
-        .flat_map(|p| {
-            let mut rev = p.clone();
-            rev.reverse();
-            [p.clone(), rev]
-        })
-        .collect();
-    comfedsv_monte_carlo(factors, problem, n, &mirrored)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,55 +242,6 @@ mod tests {
         assert_eq!(cols.score(Subset::from_bits(0b10)), 0.0);
         assert_eq!(cols.len(), 1);
         assert!(!cols.is_empty());
-    }
-
-    #[test]
-    fn antithetic_is_unbiased_on_full_enumeration() {
-        // Using all permutations, antithetic doubling must not change the
-        // (already exact) answer.
-        let c = [0.5, 1.5, -0.5];
-        let (f, p) = exact_factors(|_t, s| s.members().iter().map(|&i| c[i]).sum::<f64>(), 2, 3);
-        let perms: Vec<Vec<usize>> = vec![
-            vec![0, 1, 2],
-            vec![0, 2, 1],
-            vec![1, 0, 2],
-            vec![1, 2, 0],
-            vec![2, 0, 1],
-            vec![2, 1, 0],
-        ];
-        let plain = comfedsv_monte_carlo(&f, &p, 3, &perms);
-        let anti = comfedsv_antithetic(&f, &p, 3, &perms);
-        for (a, b) in plain.iter().zip(&anti) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn antithetic_reduces_variance_on_additive_game() {
-        // For an additive game a single antithetic pair is already exact
-        // (marginal of i = c_i at every position), so any single-pair
-        // estimate matches the truth — the strongest form of variance
-        // reduction. Plain single-permutation sampling is also exact here,
-        // so test a *position-sensitive* game instead: u(S) = |S|².
-        let (f, p) = exact_factors(|_t, s| (s.len() * s.len()) as f64, 1, 4);
-        let exact = comfedsv_from_factors(&f, &p, 4);
-        // One permutation: plain estimate is biased by position; the
-        // antithetic pair averages positions k and N−1−k.
-        let single = vec![vec![0usize, 1, 2, 3]];
-        let plain = comfedsv_monte_carlo(&f, &p, 4, &single);
-        let anti = comfedsv_antithetic(&f, &p, 4, &single);
-        let err = |v: &[f64]| -> f64 {
-            v.iter()
-                .zip(&exact)
-                .map(|(a, b)| (a - b).abs())
-                .sum::<f64>()
-        };
-        assert!(
-            err(&anti) <= err(&plain) + 1e-12,
-            "antithetic error {} vs plain {}",
-            err(&anti),
-            err(&plain)
-        );
     }
 
     #[test]

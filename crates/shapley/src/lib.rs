@@ -64,9 +64,7 @@ pub mod theory;
 pub mod tmc;
 pub mod valuator;
 
-pub use comfedsv::{
-    comfedsv_antithetic, comfedsv_from_factors, comfedsv_monte_carlo, SubsetColumns,
-};
+pub use comfedsv::{comfedsv_from_factors, comfedsv_monte_carlo, SubsetColumns};
 pub use error::ValuationError;
 pub use exact::{exact_shapley, try_exact_shapley};
 pub use fairness::{

@@ -15,9 +15,7 @@ use crate::exact::exact_shapley_unchecked;
 use crate::valuator::{Diagnostics, RunContext, ValuationReport, Valuator};
 use crate::MAX_EXACT_CLIENTS;
 use fedval_fl::{EvalPlan, Subset, UtilityOracle};
-use fedval_mc::{
-    AlsConfig, CcdConfig, CompletionProblem, Factors, MatrixCompleter, SgdConfig, SolveHooks,
-};
+use fedval_mc::{AlsConfig, CcdConfig, CompletionProblem, Factors, MatrixCompleter, SolveHooks};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -49,14 +47,11 @@ pub enum CompletionSolver {
     Als,
     /// CCD++ — the LIBPMF algorithm the paper's released code uses.
     Ccd,
-    /// Stochastic gradient descent — the cheap baseline for very large
-    /// column counts (sweep budget is interpreted as epochs).
-    Sgd,
 }
 
 impl CompletionSolver {
     /// Builds the boxed solver for this variant with the pipeline's
-    /// hyper-parameters (`max_iters` = ALS/CCD sweeps or SGD epochs).
+    /// hyper-parameters (`max_iters` = ALS/CCD sweeps).
     pub fn completer(
         &self,
         rank: usize,
@@ -80,13 +75,6 @@ impl CompletionSolver {
                 tol: 1e-9,
                 seed,
             }),
-            CompletionSolver::Sgd => {
-                let mut cfg = SgdConfig::new(rank)
-                    .with_lambda(lambda)
-                    .with_epochs(max_iters);
-                cfg.seed = seed;
-                Box::new(cfg)
-            }
         }
     }
 }
@@ -104,7 +92,7 @@ pub struct ComFedSv {
     pub lambda: f64,
     /// Estimator variant.
     pub estimator: EstimatorKind,
-    /// Solver sweep budget (epochs for the SGD solver).
+    /// Solver sweep budget.
     pub als_max_iters: usize,
     /// Which completion solver to run.
     pub solver: CompletionSolver,
@@ -587,45 +575,6 @@ mod tests {
         let a = c.run(&oracle).unwrap();
         let b = c.run(&oracle).unwrap();
         assert_eq!(a.values, b.values);
-    }
-
-    #[test]
-    fn sgd_solver_is_reachable_with_als_like_trajectory() {
-        // The SGD baseline runs through the same pluggable-completer
-        // pipeline; its residual trajectory must have the ALS shape
-        // (monotone-ish decrease to a small fraction of the initial
-        // objective) and its values must agree with ALS on ranking.
-        let (clients, proto, test, cfg) = make_world(4, 5, 3, 15, false);
-        let trace = train_federated(&proto, &clients, &cfg);
-        let oracle = UtilityOracle::new(&trace, &proto, &test);
-        let als = ComFedSv::exact(3).with_lambda(1e-3).run(&oracle).unwrap();
-        let mut sgd_cfg = ComFedSv::exact(3)
-            .with_lambda(1e-3)
-            .with_solver(CompletionSolver::Sgd);
-        // SGD epochs are much cheaper than ALS sweeps; give it a
-        // comparable total budget.
-        sgd_cfg.als_max_iters = 600;
-        let sgd = sgd_cfg.run(&oracle).unwrap();
-        for t in [&als.objective_trace, &sgd.objective_trace] {
-            assert!(t.len() >= 2);
-            assert!(
-                t.last().unwrap() < &t[0],
-                "objective did not decrease: {} -> {}",
-                t[0],
-                t.last().unwrap()
-            );
-        }
-        // Same objective, same λ: with the adaptive-backoff schedule SGD
-        // must land within ~2× of the ALS optimum (the old unconditional
-        // decay stalled an order of magnitude above it).
-        let als_final = *als.objective_trace.last().unwrap();
-        let sgd_final = *sgd.objective_trace.last().unwrap();
-        assert!(
-            sgd_final <= 2.0 * als_final.max(1e-12),
-            "SGD objective {sgd_final} not within 2x of ALS {als_final}"
-        );
-        let rho = fedval_metrics::spearman_rho(&sgd.values, &als.values).unwrap();
-        assert!(rho > 0.6, "SGD vs ALS pipeline agreement {rho}");
     }
 
     #[test]

@@ -416,13 +416,9 @@ impl ValuationSession {
         if let Some(seed) = self.seed {
             ctx = ctx.with_seed(seed);
         }
-        if let Some(tier) = self.tier {
-            ctx = ctx.with_tier(tier);
-        }
-        // A tier override that disagrees with the oracle's tier forces
-        // a fresh-cache clone: the caller's oracle may hold cells
-        // computed at its own tier, and a run must never mix tiers
-        // within one result table.
+        // A tier override that disagrees with the oracle's tier runs on
+        // a retiered fresh-cache clone: the caller's oracle is borrowed,
+        // so its own tier cannot change.
         let needs_retier = self.tier.is_some_and(|t| t != oracle.tier());
         let isolated = (self.isolated_runs || needs_retier)
             .then(|| oracle.isolated_with_tier(self.tier.unwrap_or(oracle.tier())));
@@ -781,7 +777,7 @@ mod tests {
         assert_eq!(
             oracle.loss_evaluations(),
             evals_after_first,
-            "second sweep is served entirely from the result table"
+            "second sweep is served entirely from the cell store"
         );
         for ((name_a, a), (name_b, b)) in first.iter().zip(&second) {
             assert_eq!(name_a, name_b);
@@ -804,7 +800,7 @@ mod tests {
         let cached = oracle.loss_evaluations();
 
         // A Fast-tier session never writes into the BitExact oracle's
-        // result table — it values against a fresh retiered clone.
+        // cell store — it values against a fresh retiered clone.
         let mut fast_session = ValuationSession::builder()
             .rank(3)
             .seed(2)

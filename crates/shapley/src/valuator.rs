@@ -27,7 +27,6 @@
 use crate::error::ValuationError;
 use crate::fairness::ReferenceReport;
 use fedval_fl::UtilityOracle;
-use fedval_linalg::DeterminismTier;
 use fedval_runtime::CancelToken;
 
 /// How far along the reporting method is — the fine-grained payload of a
@@ -81,16 +80,14 @@ pub struct ProgressEvent<'a> {
 }
 
 /// Per-run state a [`Valuator`] receives: the session-level seed
-/// override, the progress sink, the cancellation token, and the
-/// session-level numeric-tier override. A default context (no override,
-/// no callback, fresh token) reproduces the method's standalone
-/// behavior bit-for-bit.
+/// override, the progress sink, and the cancellation token. A default
+/// context (no override, no callback, fresh token) reproduces the
+/// method's standalone behavior bit-for-bit.
 #[derive(Default)]
 pub struct RunContext<'a> {
     seed: Option<u64>,
     progress: Option<&'a mut dyn FnMut(ProgressEvent<'_>)>,
     cancel: CancelToken,
-    tier: Option<DeterminismTier>,
 }
 
 impl<'a> RunContext<'a> {
@@ -141,22 +138,6 @@ impl<'a> RunContext<'a> {
         self.seed.unwrap_or(default)
     }
 
-    /// Records the session's numeric-tier override (what
-    /// [`ValuationSessionBuilder::tier`](crate::session::ValuationSessionBuilder::tier)
-    /// sets). The session applies it to the oracle before the run; the
-    /// context copy is informational, for custom valuators that spawn
-    /// their own model evaluations.
-    pub fn with_tier(mut self, tier: DeterminismTier) -> Self {
-        self.tier = Some(tier);
-        self
-    }
-
-    /// The tier this run evaluates at: the session override if present,
-    /// otherwise `default` (callers typically pass the oracle's tier).
-    pub fn tier_or(&self, default: DeterminismTier) -> DeterminismTier {
-        self.tier.unwrap_or(default)
-    }
-
     /// Emits a coarse stage-boundary event (no-op without a callback).
     pub fn emit(&mut self, method: &str, stage: &str) {
         self.emit_progress(method, stage, Progress::Stage);
@@ -194,10 +175,12 @@ pub struct Diagnostics {
     /// Model loss evaluations performed during this run (the paper's
     /// Fig.-8 cost unit; cache hits on the oracle are free and excluded).
     pub cells_evaluated: u64,
-    /// Utility cells this run needed that were already resident in the
-    /// oracle's cache (private table, shared store, or disk-warmed) —
-    /// work *avoided*. Reported separately so `cells_evaluated` keeps
-    /// its strict "losses actually computed" meaning.
+    /// Utility cells this run needed that it did not evaluate: resident
+    /// in the oracle's cell store (computed earlier, by a concurrent
+    /// oracle sharing the store, or loaded from disk) or filled by a
+    /// racing evaluator while this run waited — work *avoided*. Reported
+    /// separately so `cells_evaluated` keeps its strict "losses actually
+    /// computed" meaning; together they cover every planned cell.
     pub cell_hits: u64,
     /// Completion-solver objective trajectory (empty for methods that do
     /// not complete a matrix).
@@ -250,20 +233,6 @@ mod tests {
         assert_eq!(ctx.seed_or(7), 7);
         let ctx = RunContext::new().with_seed(42);
         assert_eq!(ctx.seed_or(7), 42);
-    }
-
-    #[test]
-    fn context_tier_override() {
-        let ctx = RunContext::new();
-        assert_eq!(
-            ctx.tier_or(DeterminismTier::BitExact),
-            DeterminismTier::BitExact
-        );
-        let ctx = RunContext::new().with_tier(DeterminismTier::Fast);
-        assert_eq!(
-            ctx.tier_or(DeterminismTier::BitExact),
-            DeterminismTier::Fast
-        );
     }
 
     #[test]
