@@ -24,7 +24,8 @@ pub struct FlConfig {
     /// Minibatch size for local steps. `None` (the default) runs the
     /// paper's deterministic full-batch update (equation (3)), which the
     /// theory sections assume; `Some(b)` runs standard FedAvg stochastic
-    /// local steps on random size-`b` minibatches.
+    /// local steps on random size-`b` minibatches. A client with at most
+    /// `b` examples takes the full-batch step.
     ///
     /// Note: minibatch draws are seeded per client, so two clients with
     /// identical data produce (slightly) different local models in this

@@ -210,28 +210,15 @@ fn parallel_local_updates(
                         continue;
                     }
                     model.set_params(global);
-                    match batch_size {
-                        None => {
-                            optim::local_updates_with(
-                                model.as_mut(),
-                                &clients[i],
-                                eta,
-                                local_steps,
-                                &mut scratch,
-                            );
-                        }
-                        Some(batch) => {
-                            optim::minibatch_updates(
-                                model.as_mut(),
-                                &clients[i],
-                                eta,
-                                local_steps,
-                                batch,
-                                round_seed ^ (i as u64).wrapping_mul(0xD134_2543_DE82_EF95),
-                                &mut scratch,
-                            );
-                        }
-                    }
+                    optim::minibatch_updates(
+                        model.as_mut(),
+                        &clients[i],
+                        eta,
+                        local_steps,
+                        batch_size.unwrap_or(usize::MAX),
+                        round_seed ^ (i as u64).wrapping_mul(0xD134_2543_DE82_EF95),
+                        &mut scratch,
+                    );
                     *slot = model.params().to_vec();
                 }
             });
@@ -437,6 +424,27 @@ mod tests {
         // Clamped batch = full dataset: must equal the full-batch run.
         let full = train_federated(&proto(), &cl, &FlConfig::new(2, 2, 0.1, 3));
         assert_eq!(trace.final_params, full.final_params);
+    }
+
+    #[test]
+    fn batch_covering_every_client_matches_full_batch_with_an_empty_client() {
+        let mut cl = clients(4);
+        cl[2] = cl[2].subset(&[]);
+        let largest = cl.iter().map(Dataset::len).max().unwrap();
+        let full = train_federated(&proto(), &cl, &FlConfig::new(3, 2, 0.1, 4));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for batch in [largest, largest + 1] {
+            let cfg = FlConfig::new(3, 2, 0.1, 4).with_batch_size(batch);
+            let trace = train_federated(&proto(), &cl, &cfg);
+            for (a, b) in trace.rounds.iter().zip(&full.rounds) {
+                assert_eq!(bits(&a.global_params), bits(&b.global_params));
+                assert_eq!(a.selected, b.selected);
+                for (x, y) in a.local_params.iter().zip(&b.local_params) {
+                    assert_eq!(bits(x), bits(y), "batch {batch}");
+                }
+            }
+            assert_eq!(bits(&trace.final_params), bits(&full.final_params));
+        }
     }
 
     #[test]

@@ -199,19 +199,18 @@ impl Model for MidCellCancel {
     fn params_mut(&mut self) -> &mut [f64] {
         self.inner.params_mut()
     }
-    fn loss(&self, data: &Dataset) -> f64 {
-        self.inner.loss(data)
-    }
-    fn grad(&self, data: &Dataset, out: &mut [f64]) -> f64 {
-        self.inner.grad(data, out)
-    }
     fn try_loss_with(&self, data: &Dataset, ws: &mut Workspace) -> Result<f64, Cancelled> {
-        if self.calls.fetch_add(1, Ordering::SeqCst) + 1 == self.trigger {
-            if let Some(token) = ws.cancel_token() {
+        // Only evaluations that carry a token count: the oracle's
+        // per-round base losses run through the token-free `loss_with`.
+        if let Some(token) = ws.cancel_token() {
+            if self.calls.fetch_add(1, Ordering::SeqCst) + 1 == self.trigger {
                 token.cancel();
             }
         }
         self.inner.try_loss_with(data, ws)
+    }
+    fn grad_with(&self, data: &Dataset, out: &mut [f64], ws: &mut Workspace) -> f64 {
+        self.inner.grad_with(data, out, ws)
     }
     fn predict(&self, x: &[f64]) -> usize {
         self.inner.predict(x)

@@ -21,14 +21,14 @@ use fedval_cache::{CellCache, DEFAULT_MEM_BUDGET_BYTES};
 use fedval_data::Dataset;
 use fedval_fl::{train_federated, EvalPlan, FlConfig, Subset, UtilityOracle};
 use fedval_linalg::Matrix;
-use fedval_models::{LogisticRegression, Model};
+use fedval_models::{LogisticRegression, Model, Workspace};
 use fedval_runtime::{CancelToken, Cancelled, Pool, PoolHandle};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 /// Test double: a model that cancels a [`CancelToken`] from inside its
-/// own `loss()` after a fixed number of evaluations (counted across all
+/// own loss evaluation after a fixed number of evaluations (counted across all
 /// clones), pinning the cancellation to an exact cell boundary.
 struct CancellingModel {
     inner: LogisticRegression,
@@ -46,15 +46,17 @@ impl Model for CancellingModel {
         self.inner.params_mut()
     }
 
-    fn loss(&self, data: &Dataset) -> f64 {
+    fn try_loss_with(&self, data: &Dataset, ws: &mut Workspace) -> Result<f64, Cancelled> {
         if self.calls.fetch_add(1, Ordering::SeqCst) + 1 == self.trigger {
             self.token.cancel();
         }
-        self.inner.loss(data)
+        // The evaluation that fires the token still completes, so the
+        // batch stops at the next cell boundary.
+        Ok(self.inner.loss_with(data, ws))
     }
 
-    fn grad(&self, data: &Dataset, out: &mut [f64]) -> f64 {
-        self.inner.grad(data, out)
+    fn grad_with(&self, data: &Dataset, out: &mut [f64], ws: &mut Workspace) -> f64 {
+        self.inner.grad_with(data, out, ws)
     }
 
     fn predict(&self, x: &[f64]) -> usize {
@@ -87,13 +89,13 @@ impl Model for SlowModel {
         self.inner.params_mut()
     }
 
-    fn loss(&self, data: &Dataset) -> f64 {
+    fn try_loss_with(&self, data: &Dataset, ws: &mut Workspace) -> Result<f64, Cancelled> {
         std::thread::sleep(Duration::from_millis(2));
-        self.inner.loss(data)
+        self.inner.try_loss_with(data, ws)
     }
 
-    fn grad(&self, data: &Dataset, out: &mut [f64]) -> f64 {
-        self.inner.grad(data, out)
+    fn grad_with(&self, data: &Dataset, out: &mut [f64], ws: &mut Workspace) -> f64 {
+        self.inner.grad_with(data, out, ws)
     }
 
     fn predict(&self, x: &[f64]) -> usize {
@@ -286,9 +288,9 @@ fn cancelled_batch_reports_cancelled_and_keeps_partial_results() {
     assert_eq!(oracle.loss_evaluations(), 0);
 
     // Cancelled mid-batch, deterministically: a wrapper model flips the
-    // token from inside its own `loss()` once a budget of evaluations is
-    // spent, so the cut lands at an exact cell boundary — the serial
-    // path must stop within one cell of it.
+    // token from inside its own loss evaluation once a budget of
+    // evaluations is spent, so the cut lands at an exact cell boundary —
+    // the serial path must stop within one cell of it.
     let budget = 7u64;
     let token = CancelToken::new();
     let wrapper = CancellingModel {

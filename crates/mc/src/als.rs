@@ -137,7 +137,7 @@ fn run_als(
         let prev = *objective_trace.last().expect("non-empty");
         objective_trace.push(obj);
         hooks.sweep(sweep + 1, obj);
-        if prev - obj <= config.tol * prev.abs().max(1e-12) {
+        if !obj.is_finite() || prev - obj <= config.tol * prev.abs().max(1e-12) {
             break;
         }
     }
@@ -366,10 +366,12 @@ fn factor_lanes<const N: usize>(a: [&mut [f64]; N], r: usize) {
         }
         let mut inv_d = [0.0; N];
         for k in 0..N {
-            assert!(
-                diag[k] > 0.0 && diag[k].is_finite(),
-                "ridge system is SPD for lambda > 0 (pivot {j})"
-            );
+            // For λ > 0 the system is SPD in exact arithmetic; a pivot
+            // that is not positive and finite means the Gram overflowed.
+            // NaN poisons the solve, so the objective reports divergence.
+            if !(diag[k] > 0.0 && diag[k].is_finite()) {
+                diag[k] = f64::NAN;
+            }
             let d = diag[k].sqrt();
             a[k][j * r + j] = d;
             inv_d[k] = 1.0 / d;

@@ -218,9 +218,14 @@ mod tests {
                 p.add_observation(i as usize, j, 1e300);
             }
         }
-        match CcdConfig::new(3).complete(&p) {
-            Err(CompletionError::SolverDiverged { solver: "ccd", .. }) => {}
-            other => panic!("expected divergence, got {other:?}"),
+        for s in [
+            &AlsConfig::new(3) as &dyn MatrixCompleter,
+            &CcdConfig::new(3),
+        ] {
+            match s.complete(&p) {
+                Err(CompletionError::SolverDiverged { solver, .. }) if solver == s.name() => {}
+                other => panic!("{}: expected divergence, got {other:?}", s.name()),
+            }
         }
     }
 

@@ -13,7 +13,7 @@ use fedval_data::Dataset;
 #[cfg(target_arch = "x86_64")]
 use fedval_linalg::KernelIsa;
 use fedval_linalg::{gemm, vector, DeterminismTier, Matrix};
-use fedval_runtime::{CancelToken, Cancelled};
+use fedval_runtime::Cancelled;
 
 /// Architecture of [`Cnn`].
 #[derive(Debug, Clone)]
@@ -724,12 +724,7 @@ impl Cnn {
         }
     }
 
-    fn batched_loss(
-        &self,
-        data: &Dataset,
-        ws: &mut Workspace,
-        cancel: Option<&CancelToken>,
-    ) -> Result<f64, Cancelled> {
+    fn batched_loss(&self, data: &Dataset, ws: &mut Workspace) -> Result<f64, Cancelled> {
         assert_eq!(data.dim(), self.input_dim(), "dataset dimension mismatch");
         if data.is_empty() {
             return Ok(self.reg_term());
@@ -738,10 +733,11 @@ impl Cnn {
         let feat = data.features().as_slice();
         let labels = data.labels();
         let fast = ws.tier() == DeterminismTier::Fast;
+        let cancel = ws.cancel_token().cloned();
         let (bufs, gemm_scratch) = ws.parts(3);
         let mut total = 0.0;
         for (start, end) in chunks(data.len()) {
-            check(cancel)?;
+            check(cancel.as_ref())?;
             let rows = end - start;
             let x = &feat[start * in_dim..end * in_dim];
             let (conv, rest) = bufs.split_at_mut(1);
@@ -773,19 +769,13 @@ impl Cnn {
         Ok(total / data.len() as f64 + self.reg_term())
     }
 
-    fn batched_grad(
-        &self,
-        data: &Dataset,
-        out: &mut [f64],
-        ws: &mut Workspace,
-        cancel: Option<&CancelToken>,
-    ) -> Result<f64, Cancelled> {
+    fn batched_grad(&self, data: &Dataset, out: &mut [f64], ws: &mut Workspace) -> f64 {
         assert_eq!(out.len(), self.params.len(), "gradient buffer mismatch");
         assert_eq!(data.dim(), self.input_dim(), "dataset dimension mismatch");
         out.iter_mut().for_each(|v| *v = 0.0);
         if data.is_empty() {
             vector::axpy(self.config.reg, &self.params, out);
-            return Ok(self.reg_term());
+            return self.reg_term();
         }
         let inv_n = 1.0 / data.len() as f64;
         let in_dim = self.input_dim();
@@ -798,7 +788,6 @@ impl Cnn {
         let (bufs, gemm_scratch) = ws.parts(5);
         let mut total = 0.0;
         for (start, end) in chunks(data.len()) {
-            check(cancel)?;
             if fast {
                 // The Fast tier re-chunks into smaller sub-blocks so the
                 // conv activations written by the forward pass are still
@@ -883,7 +872,7 @@ impl Cnn {
             }
         }
         vector::axpy(self.config.reg, &self.params, out);
-        Ok(total * inv_n + self.reg_term())
+        total * inv_n + self.reg_term()
     }
 
     /// `Fast`-tier gradient for one sub-block of rows: fused forward,
@@ -1068,37 +1057,12 @@ impl Model for Cnn {
         &mut self.params
     }
 
-    fn loss(&self, data: &Dataset) -> f64 {
-        self.loss_with(data, &mut Workspace::new())
-    }
-
-    fn grad(&self, data: &Dataset, out: &mut [f64]) -> f64 {
-        self.grad_with(data, out, &mut Workspace::new())
-    }
-
-    fn loss_with(&self, data: &Dataset, ws: &mut Workspace) -> f64 {
-        self.batched_loss(data, ws, None)
-            .expect("uncancellable evaluation")
+    fn try_loss_with(&self, data: &Dataset, ws: &mut Workspace) -> Result<f64, Cancelled> {
+        self.batched_loss(data, ws)
     }
 
     fn grad_with(&self, data: &Dataset, out: &mut [f64], ws: &mut Workspace) -> f64 {
-        self.batched_grad(data, out, ws, None)
-            .expect("uncancellable evaluation")
-    }
-
-    fn try_loss_with(&self, data: &Dataset, ws: &mut Workspace) -> Result<f64, Cancelled> {
-        let cancel = ws.cancel_token().cloned();
-        self.batched_loss(data, ws, cancel.as_ref())
-    }
-
-    fn try_grad_with(
-        &self,
-        data: &Dataset,
-        out: &mut [f64],
-        ws: &mut Workspace,
-    ) -> Result<f64, Cancelled> {
-        let cancel = ws.cancel_token().cloned();
-        self.batched_grad(data, out, ws, cancel.as_ref())
+        self.batched_grad(data, out, ws)
     }
 
     fn predict(&self, x: &[f64]) -> usize {

@@ -14,14 +14,17 @@
 //! * [`linear`] — multinomial logistic regression with optional L2.
 //! * [`mlp`] — fully connected network with manual backprop.
 //! * [`cnn`] — small convolutional network (conv → ReLU → pool → dense).
-//! * [`optim`] — SGD steps, minibatch SGD, and the learning-rate
-//!   schedules.
+//! * [`optim`] — the local-update loop (full-batch or minibatch SGD)
+//!   and the learning-rate schedules.
 //! * [`init`] — seeded parameter initialization.
 //! * [`workspace`] — reusable minibatch buffers for the batched kernels.
 //!
 //! # Batched evaluation
 //!
-//! `loss`/`grad` run through cache-blocked minibatch GEMM kernels
+//! Each model implements two kernels, the cancellable loss
+//! [`Model::try_loss_with`] and the gradient [`Model::grad_with`];
+//! `loss`, `grad` and `loss_with` are derived from them. Both kernels
+//! run on cache-blocked minibatch GEMMs
 //! (`fedval_linalg::gemm`): examples are processed in `(batch ×
 //! features)` chunks with preallocated per-layer activation/gradient
 //! matrices from a [`Workspace`]. In the default
@@ -29,7 +32,8 @@
 //! per-sample, ascending accumulation order, so batched results are
 //! bit-identical to the per-sample loops — which are retained on each
 //! model as `loss_per_sample`/`grad_per_sample` reference paths and
-//! asserted equal (to the bit) in `tests/batched_equivalence.rs`.
+//! asserted equal (to the bit) by each model's
+//! `batched_paths_match_per_sample_reference_bitwise` test.
 //!
 //! A workspace carrying [`DeterminismTier::Fast`] instead routes the
 //! GEMMs through FMA-fused, reduction-reordered kernels and — for the
@@ -49,6 +53,6 @@ pub use cnn::{Cnn, CnnConfig};
 pub use fedval_linalg::DeterminismTier;
 pub use linear::LogisticRegression;
 pub use mlp::{Activation, Mlp};
-pub use optim::{sgd_step, LearningRate};
+pub use optim::LearningRate;
 pub use traits::Model;
 pub use workspace::Workspace;

@@ -10,7 +10,7 @@ use crate::traits::Model;
 use crate::workspace::{check, chunks, Workspace};
 use fedval_data::Dataset;
 use fedval_linalg::{gemm, vector, DeterminismTier};
-use fedval_runtime::{CancelToken, Cancelled};
+use fedval_runtime::Cancelled;
 
 /// Multinomial (softmax) logistic regression.
 ///
@@ -110,12 +110,7 @@ impl LogisticRegression {
         gemm::add_bias_rows(logits.as_mut_slice(), c, &self.params[c * d..]);
     }
 
-    fn batched_loss(
-        &self,
-        data: &Dataset,
-        ws: &mut Workspace,
-        cancel: Option<&CancelToken>,
-    ) -> Result<f64, Cancelled> {
+    fn batched_loss(&self, data: &Dataset, ws: &mut Workspace) -> Result<f64, Cancelled> {
         assert_eq!(data.dim(), self.dim, "dataset dimension mismatch");
         if data.is_empty() {
             return Ok(self.reg_term());
@@ -124,10 +119,11 @@ impl LogisticRegression {
         let feat = data.features().as_slice();
         let labels = data.labels();
         let tier = ws.tier();
+        let cancel = ws.cancel_token().cloned();
         let (bufs, gemm_scratch) = ws.parts(1);
         let mut total = 0.0;
         for (start, end) in chunks(data.len()) {
-            check(cancel)?;
+            check(cancel.as_ref())?;
             self.logits_chunk(
                 &feat[start * d..end * d],
                 end - start,
@@ -143,20 +139,14 @@ impl LogisticRegression {
         Ok(total / data.len() as f64 + self.reg_term())
     }
 
-    fn batched_grad(
-        &self,
-        data: &Dataset,
-        out: &mut [f64],
-        ws: &mut Workspace,
-        cancel: Option<&CancelToken>,
-    ) -> Result<f64, Cancelled> {
+    fn batched_grad(&self, data: &Dataset, out: &mut [f64], ws: &mut Workspace) -> f64 {
         assert_eq!(out.len(), self.params.len(), "gradient buffer mismatch");
         assert_eq!(data.dim(), self.dim, "dataset dimension mismatch");
         out.iter_mut().for_each(|v| *v = 0.0);
         let (c, d) = (self.num_classes, self.dim);
         if data.is_empty() {
             vector::axpy(self.reg, &self.params, out);
-            return Ok(self.reg_term());
+            return self.reg_term();
         }
         let inv_n = 1.0 / data.len() as f64;
         let feat = data.features().as_slice();
@@ -165,7 +155,6 @@ impl LogisticRegression {
         let (bufs, gemm_scratch) = ws.parts(2);
         let mut total = 0.0;
         for (start, end) in chunks(data.len()) {
-            check(cancel)?;
             let rows = end - start;
             let x = &feat[start * d..end * d];
             let (logits, coeff) = {
@@ -192,7 +181,7 @@ impl LogisticRegression {
             gemm::col_sums_acc(coeff.as_slice(), c, &mut out[c * d..]);
         }
         vector::axpy(self.reg, &self.params, out);
-        Ok(total * inv_n + self.reg_term())
+        total * inv_n + self.reg_term()
     }
 
     /// The pre-batching per-sample loss loop, retained verbatim as the
@@ -269,37 +258,12 @@ impl Model for LogisticRegression {
         &mut self.params
     }
 
-    fn loss(&self, data: &Dataset) -> f64 {
-        self.loss_with(data, &mut Workspace::new())
-    }
-
-    fn grad(&self, data: &Dataset, out: &mut [f64]) -> f64 {
-        self.grad_with(data, out, &mut Workspace::new())
-    }
-
-    fn loss_with(&self, data: &Dataset, ws: &mut Workspace) -> f64 {
-        self.batched_loss(data, ws, None)
-            .expect("uncancellable evaluation")
+    fn try_loss_with(&self, data: &Dataset, ws: &mut Workspace) -> Result<f64, Cancelled> {
+        self.batched_loss(data, ws)
     }
 
     fn grad_with(&self, data: &Dataset, out: &mut [f64], ws: &mut Workspace) -> f64 {
-        self.batched_grad(data, out, ws, None)
-            .expect("uncancellable evaluation")
-    }
-
-    fn try_loss_with(&self, data: &Dataset, ws: &mut Workspace) -> Result<f64, Cancelled> {
-        let cancel = ws.cancel_token().cloned();
-        self.batched_loss(data, ws, cancel.as_ref())
-    }
-
-    fn try_grad_with(
-        &self,
-        data: &Dataset,
-        out: &mut [f64],
-        ws: &mut Workspace,
-    ) -> Result<f64, Cancelled> {
-        let cancel = ws.cancel_token().cloned();
-        self.batched_grad(data, out, ws, cancel.as_ref())
+        self.batched_grad(data, out, ws)
     }
 
     fn predict(&self, x: &[f64]) -> usize {
@@ -454,6 +418,19 @@ mod tests {
         for (i, (a, b)) in g_fast.iter().zip(&g_ref).enumerate() {
             assert!((a - b).abs() <= tol(*b), "param {i}: {a} vs {b}");
         }
+    }
+
+    #[test]
+    fn try_loss_observes_the_token_and_loss_with_ignores_it() {
+        let d = two_blob_dataset();
+        let m = LogisticRegression::new(2, 2, 0.1, 5);
+        let token = fedval_runtime::CancelToken::new();
+        token.cancel();
+        let mut ws = Workspace::bit_exact().with_cancel(token);
+        assert_eq!(m.try_loss_with(&d, &mut ws), Err(Cancelled));
+        let loss = m.loss_with(&d, &mut ws);
+        assert_eq!(loss.to_bits(), m.loss_per_sample(&d).to_bits());
+        assert!(ws.cancel_token().is_some(), "the token stays attached");
     }
 
     #[test]

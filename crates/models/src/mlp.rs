@@ -9,7 +9,7 @@ use crate::traits::Model;
 use crate::workspace::{check, chunks, Workspace};
 use fedval_data::Dataset;
 use fedval_linalg::{gemm, vector, DeterminismTier, Matrix};
-use fedval_runtime::{CancelToken, Cancelled};
+use fedval_runtime::Cancelled;
 
 /// Hidden-layer activation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,12 +190,7 @@ impl Mlp {
         }
     }
 
-    fn batched_loss(
-        &self,
-        data: &Dataset,
-        ws: &mut Workspace,
-        cancel: Option<&CancelToken>,
-    ) -> Result<f64, Cancelled> {
+    fn batched_loss(&self, data: &Dataset, ws: &mut Workspace) -> Result<f64, Cancelled> {
         assert_eq!(data.dim(), self.sizes[0], "dataset dimension mismatch");
         if data.is_empty() {
             return Ok(self.reg_term());
@@ -205,10 +200,11 @@ impl Mlp {
         let feat = data.features().as_slice();
         let labels = data.labels();
         let tier = ws.tier();
+        let cancel = ws.cancel_token().cloned();
         let (acts, gemm_scratch) = ws.parts(nl);
         let mut total = 0.0;
         for (start, end) in chunks(data.len()) {
-            check(cancel)?;
+            check(cancel.as_ref())?;
             self.forward_chunk(
                 &feat[start * d..end * d],
                 end - start,
@@ -225,19 +221,13 @@ impl Mlp {
         Ok(total / data.len() as f64 + self.reg_term())
     }
 
-    fn batched_grad(
-        &self,
-        data: &Dataset,
-        out: &mut [f64],
-        ws: &mut Workspace,
-        cancel: Option<&CancelToken>,
-    ) -> Result<f64, Cancelled> {
+    fn batched_grad(&self, data: &Dataset, out: &mut [f64], ws: &mut Workspace) -> f64 {
         assert_eq!(out.len(), self.params.len(), "gradient buffer mismatch");
         assert_eq!(data.dim(), self.sizes[0], "dataset dimension mismatch");
         out.iter_mut().for_each(|v| *v = 0.0);
         if data.is_empty() {
             vector::axpy(self.reg, &self.params, out);
-            return Ok(self.reg_term());
+            return self.reg_term();
         }
         let nl = self.shapes.len();
         let d = self.sizes[0];
@@ -249,7 +239,6 @@ impl Mlp {
         let (bufs, gemm_scratch) = ws.parts(nl + 3);
         let mut total = 0.0;
         for (start, end) in chunks(data.len()) {
-            check(cancel)?;
             let rows = end - start;
             let x = &feat[start * d..end * d];
             let (acts, rest) = bufs.split_at_mut(nl);
@@ -323,7 +312,7 @@ impl Mlp {
             }
         }
         vector::axpy(self.reg, &self.params, out);
-        Ok(total * inv_n + self.reg_term())
+        total * inv_n + self.reg_term()
     }
 
     /// The pre-batching per-sample loss loop, retained verbatim as the
@@ -427,37 +416,12 @@ impl Model for Mlp {
         &mut self.params
     }
 
-    fn loss(&self, data: &Dataset) -> f64 {
-        self.loss_with(data, &mut Workspace::new())
-    }
-
-    fn grad(&self, data: &Dataset, out: &mut [f64]) -> f64 {
-        self.grad_with(data, out, &mut Workspace::new())
-    }
-
-    fn loss_with(&self, data: &Dataset, ws: &mut Workspace) -> f64 {
-        self.batched_loss(data, ws, None)
-            .expect("uncancellable evaluation")
+    fn try_loss_with(&self, data: &Dataset, ws: &mut Workspace) -> Result<f64, Cancelled> {
+        self.batched_loss(data, ws)
     }
 
     fn grad_with(&self, data: &Dataset, out: &mut [f64], ws: &mut Workspace) -> f64 {
-        self.batched_grad(data, out, ws, None)
-            .expect("uncancellable evaluation")
-    }
-
-    fn try_loss_with(&self, data: &Dataset, ws: &mut Workspace) -> Result<f64, Cancelled> {
-        let cancel = ws.cancel_token().cloned();
-        self.batched_loss(data, ws, cancel.as_ref())
-    }
-
-    fn try_grad_with(
-        &self,
-        data: &Dataset,
-        out: &mut [f64],
-        ws: &mut Workspace,
-    ) -> Result<f64, Cancelled> {
-        let cancel = ws.cancel_token().cloned();
-        self.batched_grad(data, out, ws, cancel.as_ref())
+        self.batched_grad(data, out, ws)
     }
 
     fn predict(&self, x: &[f64]) -> usize {

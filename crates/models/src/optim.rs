@@ -1,4 +1,5 @@
-//! SGD steps, minibatch SGD, and the paper's learning-rate schedules.
+//! The local-update loop (full-batch or minibatch SGD) and the paper's
+//! learning-rate schedules.
 
 use crate::traits::Model;
 use crate::workspace::Workspace;
@@ -53,7 +54,7 @@ impl LearningRate {
     }
 }
 
-/// Reusable buffers for the SGD helpers: the gradient vector, the
+/// Reusable buffers for [`minibatch_updates`]: the gradient vector, the
 /// model's minibatch [`Workspace`], and the gathered-minibatch dataset.
 /// One per trainer worker; a steady-state training loop allocates
 /// nothing per step.
@@ -73,60 +74,26 @@ impl SgdScratch {
     }
 }
 
-/// One full-batch gradient-descent step `w ← w − η ∇F(w)` on `data`.
-/// Returns the loss at the *pre-step* parameters. This mirrors the paper's
-/// local update (equation (3)): one deterministic step per round.
-pub fn sgd_step(model: &mut dyn Model, data: &Dataset, eta: f64) -> f64 {
-    sgd_step_with(model, data, eta, &mut SgdScratch::new())
-}
-
-/// [`sgd_step`] with reusable buffers: the gradient runs through the
+/// One gradient-descent step `w ← w − η ∇F(w)` on `data` through the
 /// model's batched `grad_with` kernel and the scratch's workspace.
-pub fn sgd_step_with(
-    model: &mut dyn Model,
-    data: &Dataset,
-    eta: f64,
-    scratch: &mut SgdScratch,
-) -> f64 {
-    let n = model.num_params();
-    scratch.grad.resize(n, 0.0);
-    let loss = model.grad_with(data, &mut scratch.grad, &mut scratch.ws);
+fn gradient_step(model: &mut dyn Model, data: &Dataset, eta: f64, scratch: &mut SgdScratch) {
+    scratch.grad.resize(model.num_params(), 0.0);
+    model.grad_with(data, &mut scratch.grad, &mut scratch.ws);
     vector::axpy(-eta, &scratch.grad, model.params_mut());
-    loss
 }
 
-/// Runs `steps` local gradient steps (the paper's theory uses one; the
-/// simulator supports more, matching "an arbitrary number of local
-/// updates"). Returns the loss before the first step.
-pub fn local_updates(model: &mut dyn Model, data: &Dataset, eta: f64, steps: usize) -> f64 {
-    local_updates_with(model, data, eta, steps, &mut SgdScratch::new())
-}
-
-/// [`local_updates`] with reusable buffers.
-pub fn local_updates_with(
-    model: &mut dyn Model,
-    data: &Dataset,
-    eta: f64,
-    steps: usize,
-    scratch: &mut SgdScratch,
-) -> f64 {
-    let mut first_loss = 0.0;
-    for s in 0..steps {
-        let loss = sgd_step_with(model, data, eta, scratch);
-        if s == 0 {
-            first_loss = loss;
-        }
-    }
-    first_loss
-}
-
-/// True minibatch SGD: each step samples a fresh size-`batch` minibatch
-/// without replacement (clamped to the dataset size) and takes one
-/// gradient step on it through the batched kernels. Deterministic given
-/// the seed — the sampling (seeded [`StdRng`], indices sorted ascending)
-/// is exactly the trainer's historical scheme, and a clamped
-/// `batch == data.len()` short-circuits to the deterministic full-batch
-/// path with no RNG draws, so existing traces reproduce bit-for-bit.
+/// Runs `steps` local gradient steps — the paper's local update
+/// (equation (3)) when `steps == 1`; the simulator supports more,
+/// matching "an arbitrary number of local updates".
+///
+/// With `batch >= data.len()` (pass `usize::MAX` for full-batch
+/// training) every step is a deterministic full-batch step with no RNG
+/// draws; this also covers an empty client, whose gradient is the
+/// regularizer's alone. Otherwise each step samples a fresh
+/// size-`batch` minibatch without replacement (seeded [`StdRng`],
+/// indices sorted ascending — the trainer's historical scheme) and takes
+/// one gradient step on it through the batched kernels, so traces are
+/// deterministic given the seed.
 ///
 /// With `batch == 1` this reproduces the pre-batching per-sample
 /// trajectories bit-for-bit (asserted in
@@ -140,20 +107,19 @@ pub fn minibatch_updates(
     seed: u64,
     scratch: &mut SgdScratch,
 ) {
-    let b = batch.min(data.len()).max(1);
-    if b == data.len() {
-        // Clamped to the full dataset: identical to the deterministic path
-        // (and bit-identical — no index reshuffling of the summation).
-        local_updates_with(model, data, eta, steps, scratch);
+    if batch >= data.len() {
+        for _ in 0..steps {
+            gradient_step(model, data, eta, scratch);
+        }
         return;
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut minibatch = scratch.minibatch.take().unwrap_or_else(|| data.subset(&[]));
     for _ in 0..steps {
-        let mut picks = sample(&mut rng, data.len(), b).into_vec();
+        let mut picks = sample(&mut rng, data.len(), batch.max(1)).into_vec();
         picks.sort_unstable();
         data.subset_into(&picks, &mut minibatch);
-        sgd_step_with(model, &minibatch, eta, scratch);
+        gradient_step(model, &minibatch, eta, scratch);
     }
     scratch.minibatch = Some(minibatch);
 }
@@ -200,24 +166,36 @@ mod tests {
         }
     }
 
+    /// `steps` full-batch steps through [`minibatch_updates`].
+    fn full_batch(model: &mut dyn Model, data: &Dataset, eta: f64, steps: usize) {
+        minibatch_updates(
+            model,
+            data,
+            eta,
+            steps,
+            usize::MAX,
+            0,
+            &mut SgdScratch::new(),
+        );
+    }
+
     #[test]
-    fn sgd_step_decreases_loss_on_convex_problem() {
+    fn full_batch_step_decreases_loss_on_convex_problem() {
         let d = blobs();
         let mut m = LogisticRegression::new(2, 2, 0.01, 2);
         let before = m.loss(&d);
-        let reported = sgd_step(&mut m, &d, 0.1);
-        assert!((reported - before).abs() < 1e-12, "returns pre-step loss");
+        full_batch(&mut m, &d, 0.1, 1);
         assert!(m.loss(&d) < before);
     }
 
     #[test]
-    fn local_updates_runs_requested_steps() {
+    fn full_batch_runs_requested_steps() {
         let d = blobs();
         let mut m1 = LogisticRegression::new(2, 2, 0.01, 2);
         let mut m2 = m1.clone();
-        local_updates(&mut m1, &d, 0.1, 3);
+        full_batch(&mut m1, &d, 0.1, 3);
         for _ in 0..3 {
-            sgd_step(&mut m2, &d, 0.1);
+            full_batch(&mut m2, &d, 0.1, 1);
         }
         assert_eq!(m1.params(), m2.params());
     }
@@ -227,7 +205,7 @@ mod tests {
         let d = blobs();
         let mut m = LogisticRegression::new(2, 2, 0.0, 2);
         let before = m.params().to_vec();
-        local_updates(&mut m, &d, 0.1, 0);
+        full_batch(&mut m, &d, 0.1, 0);
         assert_eq!(m.params(), &before[..]);
     }
 
@@ -238,8 +216,8 @@ mod tests {
         let mut fresh = with_scratch.clone();
         let mut scratch = SgdScratch::new();
         for _ in 0..4 {
-            sgd_step_with(&mut with_scratch, &d, 0.1, &mut scratch);
-            sgd_step(&mut fresh, &d, 0.1);
+            minibatch_updates(&mut with_scratch, &d, 0.1, 1, usize::MAX, 0, &mut scratch);
+            full_batch(&mut fresh, &d, 0.1, 1);
         }
         assert_eq!(with_scratch.params(), fresh.params());
     }
@@ -262,11 +240,15 @@ mod tests {
 
     #[test]
     fn minibatch_clamped_to_full_dataset_is_deterministic_path() {
+        // A batch of at least the dataset's size — including any batch on
+        // an empty dataset, which has nothing to sample — is full-batch.
         let d = blobs();
-        let mut a = LogisticRegression::new(2, 2, 0.01, 5);
-        let mut b = a.clone();
-        minibatch_updates(&mut a, &d, 0.2, 3, 100, 7, &mut SgdScratch::new());
-        local_updates(&mut b, &d, 0.2, 3);
-        assert_eq!(a.params(), b.params());
+        for (data, batch) in [(d.clone(), 100), (d.clone(), d.len()), (d.subset(&[]), 2)] {
+            let mut a = LogisticRegression::new(2, 2, 0.01, 5);
+            let mut b = a.clone();
+            minibatch_updates(&mut a, &data, 0.2, 3, batch, 7, &mut SgdScratch::new());
+            full_batch(&mut b, &data, 0.2, 3);
+            assert_eq!(a.params(), b.params(), "batch {batch} of {}", data.len());
+        }
     }
 }

@@ -18,57 +18,42 @@ pub trait Model: Send + Sync {
     /// Mutable view of the flat parameter vector.
     fn params_mut(&mut self) -> &mut [f64];
 
-    /// Mean loss (including any regularization) over `data`.
-    fn loss(&self, data: &Dataset) -> f64;
+    /// Mean loss (including any regularization) over `data`, evaluated
+    /// in minibatch chunks through the caller's reusable `ws` buffers at
+    /// `ws`'s tier. Observes the workspace's
+    /// [`CancelToken`](fedval_runtime::CancelToken) between chunks and
+    /// abandons the evaluation with `Err(Cancelled)` — this is what lets
+    /// the utility oracle stop *inside* a cell instead of finishing a huge
+    /// evaluation first. With no token attached it always returns `Ok`.
+    fn try_loss_with(&self, data: &Dataset, ws: &mut Workspace) -> Result<f64, Cancelled>;
 
-    /// Writes the full-batch gradient of [`Model::loss`] into `out` and
-    /// returns the loss. `out.len()` must equal `num_params()`.
-    fn grad(&self, data: &Dataset, out: &mut [f64]) -> f64;
+    /// Writes the full-batch gradient of the loss into `out` and returns
+    /// the loss, through the reusable `ws` buffers at `ws`'s tier.
+    /// `out.len()` must equal `num_params()`. Gradients are never
+    /// cancelled (training stops at round boundaries), so this ignores
+    /// the workspace's token.
+    fn grad_with(&self, data: &Dataset, out: &mut [f64], ws: &mut Workspace) -> f64;
 
-    /// [`loss`](Model::loss) with caller-provided, reusable minibatch
-    /// buffers. The built-in models override this with their batched
-    /// kernels so repeated evaluations (the utility oracle's cell loop,
-    /// the trainer's local updates) never re-allocate; the provided
-    /// default simply ignores `ws`, so third-party models keep working
-    /// unchanged.
+    /// [`try_loss_with`](Model::try_loss_with) ignoring any token on
+    /// `ws`: the evaluation always runs to completion.
     fn loss_with(&self, data: &Dataset, ws: &mut Workspace) -> f64 {
-        let _ = ws;
-        self.loss(data)
+        let token = ws.cancel_token().cloned();
+        ws.set_cancel(None);
+        let loss = self.try_loss_with(data, ws);
+        ws.set_cancel(token);
+        loss.expect("an evaluation without a token is never cancelled")
     }
 
-    /// [`grad`](Model::grad) with caller-provided, reusable minibatch
-    /// buffers (see [`loss_with`](Model::loss_with)).
-    fn grad_with(&self, data: &Dataset, out: &mut [f64], ws: &mut Workspace) -> f64 {
-        let _ = ws;
-        self.grad(data, out)
+    /// Mean loss over `data` through a fresh [`Workspace`] at the process
+    /// default tier.
+    fn loss(&self, data: &Dataset) -> f64 {
+        self.loss_with(data, &mut Workspace::new())
     }
 
-    /// Cancellable [`loss_with`](Model::loss_with): observes the
-    /// workspace's [`CancelToken`](fedval_runtime::CancelToken) between
-    /// minibatch chunks and abandons the evaluation with
-    /// `Err(Cancelled)` — this is what lets the utility oracle stop
-    /// *inside* a cell instead of finishing a huge evaluation first.
-    /// The provided default checks once up front, then runs the
-    /// uncancellable path.
-    fn try_loss_with(&self, data: &Dataset, ws: &mut Workspace) -> Result<f64, Cancelled> {
-        if let Some(token) = ws.cancel_token() {
-            token.check()?;
-        }
-        Ok(self.loss_with(data, ws))
-    }
-
-    /// Cancellable [`grad_with`](Model::grad_with); same contract as
-    /// [`try_loss_with`](Model::try_loss_with).
-    fn try_grad_with(
-        &self,
-        data: &Dataset,
-        out: &mut [f64],
-        ws: &mut Workspace,
-    ) -> Result<f64, Cancelled> {
-        if let Some(token) = ws.cancel_token() {
-            token.check()?;
-        }
-        Ok(self.grad_with(data, out, ws))
+    /// [`grad_with`](Model::grad_with) through a fresh [`Workspace`] at
+    /// the process default tier.
+    fn grad(&self, data: &Dataset, out: &mut [f64]) -> f64 {
+        self.grad_with(data, out, &mut Workspace::new())
     }
 
     /// Predicted class for one feature vector.
@@ -172,16 +157,16 @@ mod tests {
         fn params_mut(&mut self) -> &mut [f64] {
             &mut self.w
         }
-        fn loss(&self, data: &Dataset) -> f64 {
+        fn try_loss_with(&self, data: &Dataset, _: &mut Workspace) -> Result<f64, Cancelled> {
             let mut total = 0.0;
             for i in 0..data.len() {
                 let (x, y) = data.example(i);
                 let p = fedval_linalg::vector::dot(&self.w, x) - y as f64;
                 total += p * p;
             }
-            total / data.len() as f64
+            Ok(total / data.len() as f64)
         }
-        fn grad(&self, data: &Dataset, out: &mut [f64]) -> f64 {
+        fn grad_with(&self, data: &Dataset, out: &mut [f64], _: &mut Workspace) -> f64 {
             out.iter_mut().for_each(|v| *v = 0.0);
             let mut total = 0.0;
             for i in 0..data.len() {

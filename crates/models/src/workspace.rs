@@ -79,10 +79,9 @@ impl Workspace {
         self.tier
     }
 
-    /// Attaches `token`: chunked evaluations driven through
-    /// [`Model::try_loss_with`](crate::Model::try_loss_with) /
-    /// [`try_grad_with`](crate::Model::try_grad_with) will observe it
-    /// between minibatches.
+    /// Attaches `token`: loss evaluations driven through
+    /// [`Model::try_loss_with`](crate::Model::try_loss_with) will observe
+    /// it between minibatches.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self

@@ -185,7 +185,12 @@ pub struct JobCacheInfo {
     pub trace_fingerprint: Fingerprint,
 }
 
-/// Mutable run state guarded by the job's mutex.
+/// Mutable run state guarded by the job's mutex, including the
+/// append-only log of line-delimited JSON event strings.
+///
+/// [`Job::finish`] sets the terminal status and appends the terminal
+/// line in one critical section, so the terminal line is always the
+/// last one: pushes once the status is terminal are dropped.
 struct JobState {
     status: JobStatus,
     report: Option<ValuationReport>,
@@ -193,41 +198,7 @@ struct JobState {
     cache: Option<JobCacheInfo>,
     started: Option<Instant>,
     finished: Option<Instant>,
-}
-
-/// Append-only log of line-delimited JSON event strings, with a
-/// condition variable so streamers can block for new entries.
-///
-/// [`Job::finish`] appends the terminal line and sets `closed` in one
-/// critical section, so a reader that sees the terminal line also sees
-/// the log closed, and the terminal line is always the last one: pushes
-/// after close are dropped.
-#[derive(Default)]
-struct EventLog {
-    lines: Mutex<EventLines>,
-    appended: Condvar,
-}
-
-#[derive(Default)]
-struct EventLines {
-    entries: Vec<String>,
-    closed: bool,
-}
-
-impl EventLog {
-    fn lock(&self) -> MutexGuard<'_, EventLines> {
-        self.lines.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn push(&self, line: String) {
-        let mut lines = self.lock();
-        if lines.closed {
-            return;
-        }
-        lines.entries.push(line);
-        drop(lines);
-        self.appended.notify_all();
-    }
+    events: Vec<String>,
 }
 
 /// One submitted valuation job. Obtained from [`JobManager::submit`] /
@@ -239,8 +210,8 @@ pub struct Job {
     cancel: CancelToken,
     submitted: Instant,
     state: Mutex<JobState>,
-    state_changed: Condvar,
-    events: EventLog,
+    /// Signalled on every status change and every appended event.
+    changed: Condvar,
     /// Set by the deadline watcher before it cancels: distinguishes a
     /// deadline stop (→ `Failed`) from a client cancel (→ `Cancelled`).
     deadline_fired: AtomicBool,
@@ -267,9 +238,25 @@ impl Job {
         &self.spec
     }
 
+    fn lock(&self) -> MutexGuard<'_, JobState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Appends an event line and wakes streamers; dropped once the job
+    /// is terminal.
+    fn push_event(&self, line: String) {
+        let mut state = self.lock();
+        if state.status.is_terminal() {
+            return;
+        }
+        state.events.push(line);
+        drop(state);
+        self.changed.notify_all();
+    }
+
     /// Current lifecycle status.
     pub fn status(&self) -> JobStatus {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).status
+        self.lock().status
     }
 
     /// The finished report, when [`JobStatus::Done`].
@@ -294,24 +281,24 @@ impl Job {
     /// valuation finishes (`None` while queued/training, or when the
     /// job never reached the oracle).
     pub fn cache_info(&self) -> Option<JobCacheInfo> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).cache
+        self.lock().cache
     }
 
     fn set_cache_info(&self, info: JobCacheInfo) {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).cache = Some(info);
+        self.lock().cache = Some(info);
     }
 
     /// Milliseconds from submission until the job thread started
     /// valuing (so far, if still queued).
     pub fn queued_ms(&self) -> f64 {
-        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let state = self.lock();
         let end = state.started.unwrap_or_else(Instant::now);
         end.duration_since(self.submitted).as_secs_f64() * 1e3
     }
 
     /// Milliseconds the job has been (or was) running; 0 while queued.
     pub fn run_ms(&self) -> f64 {
-        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let state = self.lock();
         match state.started {
             Some(started) => {
                 let end = state.finished.unwrap_or_else(Instant::now);
@@ -324,7 +311,7 @@ impl Job {
     /// Milliseconds from submission to completion (so far, if not
     /// terminal) — the end-to-end latency the service benchmark reports.
     pub fn total_ms(&self) -> f64 {
-        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let state = self.lock();
         let end = state.finished.unwrap_or_else(Instant::now);
         end.duration_since(self.submitted).as_secs_f64() * 1e3
     }
@@ -336,7 +323,7 @@ impl Job {
     /// waiters takes over the training.
     pub fn cancel(&self) {
         self.cancel.cancel();
-        self.events.push(format!(
+        self.push_event(format!(
             "{{\"job\": {}, \"stage\": \"cancel_requested\"}}",
             self.id
         ));
@@ -344,12 +331,9 @@ impl Job {
 
     /// Blocks until the job is terminal, returning the final status.
     pub fn wait(&self) -> JobStatus {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.lock();
         while !state.status.is_terminal() {
-            state = self
-                .state_changed
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
+            state = self.changed.wait(state).unwrap_or_else(|e| e.into_inner());
         }
         state.status
     }
@@ -358,29 +342,24 @@ impl Job {
     /// still arrive (`false` once the log holds the terminal line).
     /// Blocks up to `timeout` waiting for news when nothing is pending.
     pub fn events_since(&self, from: usize, timeout: Duration) -> (Vec<String>, bool) {
-        let mut lines = self.events.lock();
-        if lines.entries.len() <= from && !lines.closed {
-            lines = self
-                .events
-                .appended
-                .wait_timeout(lines, timeout)
+        let mut state = self.lock();
+        if state.events.len() <= from && !state.status.is_terminal() {
+            state = self
+                .changed
+                .wait_timeout(state, timeout)
                 .unwrap_or_else(|e| e.into_inner())
                 .0;
         }
-        let fresh = lines.entries[from.min(lines.entries.len())..].to_vec();
-        (fresh, !lines.closed)
+        let fresh = state.events[from.min(state.events.len())..].to_vec();
+        (fresh, !state.status.is_terminal())
     }
 
-    fn set_status(&self, status: JobStatus) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.status = status;
-        match status {
-            JobStatus::Running => state.started = Some(Instant::now()),
-            s if s.is_terminal() => state.finished = Some(Instant::now()),
-            _ => {}
-        }
+    fn set_running(&self) {
+        let mut state = self.lock();
+        state.status = JobStatus::Running;
+        state.started = Some(Instant::now());
         drop(state);
-        self.state_changed.notify_all();
+        self.changed.notify_all();
     }
 
     fn finish(&self, outcome: Result<ValuationReport, String>, cancelled: bool) {
@@ -391,25 +370,20 @@ impl Job {
         } else {
             JobStatus::Failed
         };
-        {
-            let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            match outcome {
-                Ok(report) => state.report = Some(report),
-                Err(message) => state.error = Some(message),
-            }
+        let mut state = self.lock();
+        match outcome {
+            Ok(report) => state.report = Some(report),
+            Err(message) => state.error = Some(message),
         }
-        // The status changes under the log's lock, so once `wait` sees
-        // it terminal, every later `events_since` sees the closed log.
-        let mut lines = self.events.lock();
-        self.set_status(status);
-        lines.entries.push(format!(
+        state.events.push(format!(
             "{{\"job\": {}, \"stage\": \"{}\"}}",
             self.id,
             status.name()
         ));
-        lines.closed = true;
-        drop(lines);
-        self.events.appended.notify_all();
+        state.status = status;
+        state.finished = Some(Instant::now());
+        drop(state);
+        self.changed.notify_all();
     }
 
     /// Terminal transition after a cancellation checkpoint fired:
@@ -531,10 +505,6 @@ impl Drop for BuildGuard<'_> {
 
 struct ManagerInner {
     pool: PoolHandle,
-    /// Oracle parallelism per job (`None`: `max(2, pool width)` so even
-    /// a 1-core host fans cells out into schedulable chunks instead of
-    /// taking the oracle's inline path).
-    parallelism: Option<usize>,
     /// The process-shared utility-cell cache every job's oracle
     /// attaches to (possibly disk-backed via `FEDVAL_CACHE_DIR`).
     cache: Arc<CellCache>,
@@ -597,7 +567,6 @@ impl JobManager {
         JobManager {
             inner: Arc::new(ManagerInner {
                 pool,
-                parallelism: None,
                 cache,
                 worlds: WorldMemo {
                     map: Mutex::new(HashMap::new()),
@@ -694,9 +663,9 @@ impl JobManager {
                 cache: None,
                 started: None,
                 finished: None,
+                events: Vec::new(),
             }),
-            state_changed: Condvar::new(),
-            events: EventLog::default(),
+            changed: Condvar::new(),
             deadline_fired: AtomicBool::new(false),
         });
         self.inner
@@ -704,7 +673,7 @@ impl JobManager {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(id, Arc::clone(&job));
-        job.events.push(format!(
+        job.push_event(format!(
             "{{\"job\": {id}, \"stage\": \"submitted\", \"method\": \"{}\", \"scenario\": \"{}\", \"class\": \"{}\"}}",
             fedval_jsonio::escaped(&job.spec.method),
             fedval_jsonio::escaped(&job.spec.scenario),
@@ -824,7 +793,7 @@ fn spawn_deadline_watcher(job: Arc<Job>, limit_ms: u64) {
         .name(format!("fedval-deadline-{}", job.id))
         .spawn(move || {
             let deadline = Instant::now() + Duration::from_millis(limit_ms);
-            let mut state = job.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut state = job.lock();
             loop {
                 if state.status.is_terminal() {
                     return;
@@ -834,14 +803,14 @@ fn spawn_deadline_watcher(job: Arc<Job>, limit_ms: u64) {
                     break;
                 }
                 let (guard, _) = job
-                    .state_changed
+                    .changed
                     .wait_timeout(state, deadline - now)
                     .unwrap_or_else(|e| e.into_inner());
                 state = guard;
             }
             drop(state);
             job.deadline_fired.store(true, Ordering::Release);
-            job.events.push(format!(
+            job.push_event(format!(
                 "{{\"job\": {}, \"stage\": \"deadline\", \"limit_ms\": {limit_ms}}}",
                 job.id
             ));
@@ -958,7 +927,7 @@ fn obtain_world_cross_process(
         if let TraceLoad::Ready(record) = inner.cache.load_trace(world) {
             match rehydrate(record, scenario, job.spec.seed) {
                 Some(trained) => {
-                    job.events.push(format!(
+                    job.push_event(format!(
                         "{{\"job\": {}, \"stage\": \"trace_rehydrated\", \"world\": \"{}\"}}",
                         job.id,
                         world.to_hex()
@@ -997,7 +966,7 @@ fn obtain_world_cross_process(
                 // for its persisted trace, staying cancellable.
                 if !waiting_logged {
                     waiting_logged = true;
-                    job.events.push(format!(
+                    job.push_event(format!(
                         "{{\"job\": {}, \"stage\": \"train_wait\", \"world\": \"{}\"}}",
                         job.id,
                         world.to_hex()
@@ -1073,12 +1042,12 @@ fn rehydrate(record: TraceRecord, scenario: &Scenario, seed: u64) -> Option<Arc<
 /// later oracle over this trace reuses.
 fn build_and_train(job: &Arc<Job>, scenario: &Scenario) -> Result<Arc<TrainedWorld>, Cancelled> {
     job.cancel.check()?;
-    job.events.push(format!(
+    job.push_event(format!(
         "{{\"job\": {}, \"stage\": \"build_world\", \"clients\": {}}}",
         job.id, scenario.num_clients
     ));
     let world = scenario.build(job.spec.seed);
-    job.events.push(format!(
+    job.push_event(format!(
         "{{\"job\": {}, \"stage\": \"train\", \"rounds\": {}}}",
         job.id, scenario.rounds
     ));
@@ -1091,7 +1060,7 @@ fn build_and_train(job: &Arc<Job>, scenario: &Scenario) -> Result<Arc<TrainedWor
 }
 
 fn run_job_inner(inner: &ManagerInner, job: &Arc<Job>, scenario: Scenario) {
-    job.set_status(JobStatus::Running);
+    job.set_running();
     let spec = &job.spec;
     if job.cancel.is_cancelled() {
         job.finish_interrupted("cancelled before start");
@@ -1105,7 +1074,7 @@ fn run_job_inner(inner: &ManagerInner, job: &Arc<Job>, scenario: Scenario) {
         }
     };
     if world_reused {
-        job.events.push(format!(
+        job.push_event(format!(
             "{{\"job\": {}, \"stage\": \"world_reused\", \"clients\": {}}}",
             job.id, scenario.num_clients
         ));
@@ -1120,36 +1089,27 @@ fn run_job_inner(inner: &ManagerInner, job: &Arc<Job>, scenario: Scenario) {
     // Fan cells out into schedulable chunks even on narrow pools: at
     // parallelism 1 the oracle takes a fully-inline path that the
     // fair-share scheduler never sees.
-    oracle.set_parallelism(
-        inner
-            .parallelism
-            .unwrap_or_else(|| inner.pool.threads().max(2)),
-    );
-    // Apply the spec's tier to the oracle itself (not just the session)
-    // so the session never needs a fresh-cache retier clone — which
-    // would detach the shared cache. Tier before attaching: the cache
-    // keys cells by tier, and attaching loads that tier's disk
+    oracle.set_parallelism(inner.pool.threads().max(2));
+    // The spec's tier goes on the oracle; the session runs at the
+    // oracle's tier, so it never makes a fresh-cache retier clone —
+    // which would detach the shared cache. Tier before attaching: the
+    // cache keys cells by tier, and attaching loads that tier's disk
     // segments.
     if let Some(tier) = spec.tier {
         oracle.set_tier(tier);
     }
     oracle.set_shared_cache_keyed(Arc::clone(&inner.cache), trained.fingerprint);
     let progress_job = Arc::clone(job);
-    let mut builder = ValuationSession::builder()
+    let mut session = ValuationSession::builder()
         .rank(spec.rank)
         .permutations(spec.permutations)
         .samples(spec.samples)
         .seed(spec.seed)
         .cancel_token(job.cancel.clone())
         .progress(move |event| {
-            progress_job
-                .events
-                .push(crate::wire::render_progress(progress_job.id, &event));
-        });
-    if let Some(tier) = spec.tier {
-        builder = builder.tier(tier);
-    }
-    let mut session = builder.build();
+            progress_job.push_event(crate::wire::render_progress(progress_job.id, &event));
+        })
+        .build();
     let outcome = session.run(&spec.method, &oracle);
     job.set_cache_info(JobCacheInfo {
         world_reused,

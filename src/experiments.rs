@@ -13,9 +13,7 @@ use fedval_data::{
     partition_iid, partition_shards, Dataset, LabelCorruption, SimImageConfig, SyntheticConfig,
     SyntheticFederated,
 };
-use fedval_fl::{
-    train_federated, try_train_federated, ClientBehavior, FlConfig, TrainingTrace, UtilityOracle,
-};
+use fedval_fl::{try_train_federated, ClientBehavior, FlConfig, TrainingTrace, UtilityOracle};
 use fedval_models::{Activation, Cnn, CnnConfig, LogisticRegression, Mlp, Model};
 use fedval_runtime::{CancelToken, Cancelled};
 
@@ -353,11 +351,8 @@ impl World {
     /// caller re-plumbing them. Behavior-free worlds pass `config`
     /// through untouched (the exact legacy path).
     pub fn train(&self, config: &FlConfig) -> TrainingTrace {
-        if config.behaviors.is_empty() && !self.behaviors.is_empty() {
-            let merged = config.clone().with_behaviors(self.behaviors.clone());
-            return train_federated(self.prototype.as_ref(), &self.clients, &merged);
-        }
-        train_federated(self.prototype.as_ref(), &self.clients, config)
+        self.try_train(config, &CancelToken::new())
+            .expect("fresh token is never cancelled")
     }
 
     /// [`Self::train`] with cooperative cancellation: `cancel` is
